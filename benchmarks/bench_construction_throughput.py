@@ -1,21 +1,22 @@
 """Construction-throughput benchmark — array-backed fast path vs reference.
 
 Not a paper figure: this benchmark tracks the structure-of-arrays
-construction pipeline (vectorised z-estimation materialisation, radix-sorted
-leaf arrays, vectorised mismatch extraction).  For a synthetic
-sparse-uncertainty source (default n = 20,000) it builds every index variant
-through both construction paths:
+construction pipeline (radix-sorted leaf arrays, vectorised mismatch
+extraction).  For a synthetic sparse-uncertainty source (default
+n = 20,000) it builds every minimizer variant that samples the z-estimation
+through both leaf construction paths:
 
-* ``reference`` — the frozen per-position / per-leaf path (the pre-array
-  implementation, kept selectable precisely for this comparison);
+* ``reference`` — the frozen per-leaf path (leaves derived and sorted
+  object by object, kept selectable precisely for this comparison);
 * ``vectorized`` — the array-backed fast path (the default everywhere).
 
-Both paths must answer a shared pattern batch bit-identically (checked for
-every variant, including the sharded build), and the *monolithic minimizer
+Both share the z-estimation, which has one construction path.  Both paths
+must answer a shared pattern batch bit-identically (checked for every
+variant, including the sharded build), and the *monolithic minimizer
 family* (MWST, MWSA, MWST-G, MWSA-G) must build at least ``3x`` faster
 through the fast path at the default size — the acceptance bar of the
-array-backed construction work.  ``MWST-SE`` has a single (space-efficient
-DFS) construction whose hot path was itself rewritten, so it is reported
+array-backed construction work.  ``WST``, ``WSA`` and ``MWST-SE`` (the
+space-efficient DFS) have a single construction path, so they are reported
 new-path-only.  Peak construction memory is measured per build with
 ``tracemalloc`` in a separate untimed pass.  Run under pytest-benchmark
 (``pytest benchmarks/ --benchmark-only``) or standalone::
@@ -49,10 +50,11 @@ DEFAULT_Z = 8.0
 DEFAULT_ELL = 16
 DEFAULT_SHARDS = 8
 DEFAULT_PATTERNS = 100
-#: Variants with both construction paths (7 registered kinds minus MWST-SE).
-TWO_PATH_KINDS = ("WST", "WSA", "MWST", "MWSA", "MWST-G", "MWSA-G")
-#: The kinds the acceptance bar is asserted on (aggregate build time).
+#: Variants with both leaf construction paths — also the kinds the
+#: acceptance bar is asserted on (aggregate build time).
 MONOLITHIC_MINIMIZER_FAMILY = ("MWST", "MWSA", "MWST-G", "MWSA-G")
+#: Variants with a single construction path, reported new-path-only.
+SINGLE_PATH_KINDS = ("WST", "WSA", "MWST-SE")
 #: The acceptance bar: reference-path vs fast-path aggregate build time.
 REQUIRED_SPEEDUP = 3.0
 #: The tree variants whose construction the CSR trie core accelerates.
@@ -61,7 +63,7 @@ TREE_FAMILY = ("WST", "MWST")
 #: path, aggregate end-to-end build time of the tree family.
 REQUIRED_TREE_SPEEDUP = 2.0
 #: Every monolithic kind, for the store save/reload throughput rows.
-ALL_MONOLITHIC_KINDS = (*TWO_PATH_KINDS, "MWST-SE")
+ALL_MONOLITHIC_KINDS = (*MONOLITHIC_MINIMIZER_FAMILY, *SINGLE_PATH_KINDS)
 
 
 def make_workload(length: int, pattern_count: int, z: float, ell: int):
@@ -75,10 +77,8 @@ def make_workload(length: int, pattern_count: int, z: float, ell: int):
 
 
 def build_variant(source, z, ell, kind, method, shards=None):
-    """One full construction through the chosen path."""
-    options = {"method": method}
-    if kind == "MWST-SE":
-        options = {}  # single construction path
+    """One full construction through the chosen leaf path."""
+    options = {} if kind in SINGLE_PATH_KINDS else {"method": method}
     if shards is not None:
         return build_index(
             source, z, kind=kind, ell=ell, shards=shards,
@@ -176,7 +176,7 @@ def main(argv=None) -> int:
     built: dict[str, object] = {}
     build_seconds: dict[str, float] = {}
     family_old = family_new = 0.0
-    targets = [(kind, None) for kind in TWO_PATH_KINDS]
+    targets = [(kind, None) for kind in MONOLITHIC_MINIMIZER_FAMILY]
     targets.append(("MWSA", arguments.shards))  # the sharded build
     for kind, shards in targets:
         label = f"SHARDED[{kind}]x{shards}" if shards else kind
@@ -214,23 +214,24 @@ def main(argv=None) -> int:
         if shards is None:
             built[kind] = new_index
             build_seconds[kind] = new_seconds
-        if kind in MONOLITHIC_MINIMIZER_FAMILY and shards is None:
+        if shards is None:
             family_old += old_seconds
             family_new += new_seconds
 
-    # MWST-SE: one construction path, reported for completeness.
-    started = time.perf_counter()
-    se_index = build_variant(source, arguments.z, arguments.ell, "MWST-SE", None)
-    se_seconds = time.perf_counter() - started
-    se_row = {"kind": "MWST-SE", "vectorized_seconds": se_seconds}
-    if not arguments.skip_memory:
-        se_row["vectorized_peak_mb"] = traced_peak_mb(
-            lambda: build_variant(source, arguments.z, arguments.ell, "MWST-SE", None)
-        )
-    se_index.match_many(patterns)  # exercise the built index
-    rows.append(se_row)
-    built["MWST-SE"] = se_index
-    build_seconds["MWST-SE"] = se_seconds
+    # One construction path each, reported for completeness.
+    for kind in SINGLE_PATH_KINDS:
+        started = time.perf_counter()
+        index = build_variant(source, arguments.z, arguments.ell, kind, None)
+        seconds = time.perf_counter() - started
+        row = {"kind": kind, "vectorized_seconds": seconds}
+        if not arguments.skip_memory:
+            row["vectorized_peak_mb"] = traced_peak_mb(
+                lambda: build_variant(source, arguments.z, arguments.ell, kind, None)
+            )
+        index.match_many(patterns)  # exercise the built index
+        rows.append(row)
+        built[kind] = index
+        build_seconds[kind] = seconds
 
     # PR-5 path rows: the same end-to-end builds through the object-trie
     # construction that PR 5 shipped, against the CSR-trie core.  Both are

@@ -27,29 +27,58 @@ position ``e`` the construction maintains the invariant
 
 Because a token that is alive from ``i`` is also alive from every later start,
 the groups of tokens that agree on ``[i, e]`` form a laminar family, which the
-builder stores as a tree of :class:`_Node` objects (group = node subtree).
-At each position the tree is traversed bottom-up; every group must contain
-exactly ``⌊w(i)·p_e(α)⌋`` tokens that take letter ``α`` and stay alive from
-``i``, where ``w(i) = z·P(X[i..e-1]=P)`` is the group's weight at level ``i``.
-Sub-additivity of the floor function guarantees that the quotas of a group
-never exceed what its sub-groups have already committed plus the tokens that
-are free inside the group, so a greedy bottom-up assignment always succeeds;
-the proof is spelled out in ``DESIGN.md`` §5.1 and exercised by the
-Hypothesis test-suite against a brute-force count oracle.
+construction stores as a tree of ``_Node`` objects (group = node subtree).  A
+group's *weight* at level ``i`` is ``w(i) = z·P(X[i..e-1]=P)``; by the
+invariant the group holds ``⌊w(i)⌋`` tokens alive from ``i``.  Position ``e``
+must leave exactly ``q(α) = ⌊w(i)·p_e(α)⌋`` of them taking letter ``α`` and
+staying alive from ``i``.
 
-The builder's cost is ``O(n + U·z)`` tree work plus the unavoidable
-``Θ(nz)`` output, where ``U`` is the number of uncertain positions —
-positions whose distribution is concentrated on a single letter are handled
-by an O(1) fast path.
+Why a greedy bottom-up assignment always succeeds: the floor is
+super-additive, ``⌊a⌋ + ⌊b⌋ ≤ ⌊a + b⌋``, so quotas of parts never add up to
+more than the quota of the whole.  Two consequences.  (1) The sub-groups
+(children) of a group extend its string by disjoint prefixes, so their
+weights sum to at most the group's weight at the seam, and the tokens they
+already committed to ``α`` number ``Σ ⌊w_c·p_e(α)⌋ ≤ ⌊w(i)·p_e(α)⌋`` — no
+child ever commits more than its parent's quota.  (2) Over all letters,
+``Σ_α ⌊w(i)·p_e(α)⌋ ≤ ⌊w(i)·Σ_α p_e(α)⌋ = ⌊w(i)⌋``, the tokens the group
+has at that level; so what is still missing, ``Σ_α (q(α) - committed(α))``,
+never exceeds the group's tokens not yet committed — the free pool.  The
+quotas are taken with the library's rounding tolerance
+(:mod:`repro.core.numerics`), and the construction raises
+:class:`~repro.errors.ConstructionError` if the pool ever runs short.  The
+Hypothesis tests check the resulting Count property against a brute-force
+oracle.
+
+The fused pass
+--------------
+Positions whose distribution has a single positive letter leave the tree
+unchanged: their columns are written in one broadcast and the run is folded
+into the root's level range.  Every uncertain position is one post-order
+pass over the tree.  At each group, the pool is the children's leftover
+tokens followed by the group's own members as the level segments advance
+(finest first); each segment pops ``q(α) - committed(α)`` tokens per
+positive letter, and the group then immediately builds its refined
+per-letter groups — the tokens it assigned plus the children's refined
+groups for the same letter, segment weights scaled by ``p_e(α)`` and
+dropped below 1 — so no second traversal is needed.  An uncertain
+position costs ``O(⌊z⌋ + G·L + S·L)`` plain-Python steps for the ``G``
+groups and ``S`` level segments of the tree and the ``L`` positive letters
+of the row (on RSSI at z = 16: about 7 groups, 26 segments and 3 letters);
+the ``O(n)`` certain positions and the ``Θ(nz)`` output are numpy work.
+Uncertain rows are normalised, arg-maxed and written in blocks of a few
+dozen, which bounds the memory of their plain-Python copies.  Rebuilding
+after an update (:func:`resume_z_estimation`) runs the same scan from the
+last checkpoint.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .._kernels import stage_timer
 from ..errors import ConstructionError
 from .numerics import RELATIVE_TOLERANCE, validate_threshold
 from .properties import (
@@ -65,11 +94,10 @@ __all__ = [
     "EstimationCheckpoint",
     "build_z_estimation",
     "resume_z_estimation",
-    "ESTIMATION_METHODS",
     "DEFAULT_CHECKPOINT_EVERY",
 ]
 
-#: Default checkpoint granularity ``K``: builder state is snapshotted before
+#: Default checkpoint granularity ``K``: construction state is snapshotted before
 #: processing every ``K``-th position.  Each checkpoint costs ``O(⌊z⌋)``
 #: memory (the alive-from vector plus the flattened group tree), so the whole
 #: trail stays a vanishing fraction of the ``Θ(n⌊z⌋)`` family it annotates.
@@ -78,23 +106,16 @@ __all__ = [
 DEFAULT_CHECKPOINT_EVERY = 256
 
 
-def _weight_floor(value: float) -> int:
-    """Floor of a token weight with the library-wide rounding tolerance."""
-    if value <= 0.0:
-        return 0
-    return int(math.floor(value + RELATIVE_TOLERANCE * max(1.0, value)))
-
-
 @dataclass
 class EstimationCheckpoint:
-    """Builder state captured immediately before processing ``position``.
+    """Construction state captured immediately before processing ``position``.
 
     Together with the (unchanged) prefix of the materialised family this is
     everything the left-to-right construction needs to continue: the
     per-token alive-from levels and the laminar group tree, flattened to
     :class:`~repro.core.properties.GroupTreeArrays` with the root's coarsest
-    segment normalised to end at ``position`` (the reference and vectorised
-    builders grow it at different times, the state is the same).  Snapshots
+    segment normalised to end at ``position`` (the construction folds runs of
+    certain positions into it lazily, the state is the same).  Snapshots
     of identical states are bit-identical, which is what :meth:`matches`
     tests — the resume path's early-convergence check.
     """
@@ -127,7 +148,7 @@ class ZEstimation:
     z:
         The weight threshold parameter.
     checkpoints:
-        Builder-state snapshots (:class:`EstimationCheckpoint`) taken every
+        Construction-state snapshots (:class:`EstimationCheckpoint`) taken every
         ``K`` positions during construction, ordered by position.  Point
         updates resume the left-to-right construction from the last
         checkpoint at-or-before the first changed position instead of
@@ -239,11 +260,16 @@ class ZEstimation:
 
 
 # --------------------------------------------------------------------------- #
-# builder                                                                      #
+# construction                                                                 #
 # --------------------------------------------------------------------------- #
-@dataclass
+#: Uncertain rows are normalised, arg-maxed and written to the strings in
+#: blocks of this many positions: a block of plain-Python rows costs far
+#: less memory than the whole uncertain part of a long matrix.
+_BLOCK = 64
+
+
 class _Node:
-    """A group of the laminar family maintained by the builder.
+    """A group of the laminar family maintained by the construction.
 
     ``segments`` is a list of ``(lo, hi, weight)`` triples ordered from the
     coarsest (largest levels) to the finest, partitioning the node's level
@@ -253,13 +279,36 @@ class _Node:
     this node's deepest segment).
     """
 
-    segments: list = field(default_factory=list)
-    members: list = field(default_factory=list)
-    children: list = field(default_factory=list)
+    __slots__ = ("segments", "members", "children")
+
+    def __init__(self, segments: list, members: list, children: list) -> None:
+        self.segments = segments
+        self.members = members
+        self.children = children
 
 
-class _EstimationBuilder:
-    """Single-use builder implementing the algorithm described in the module docstring."""
+def _normalise(node: _Node) -> _Node:
+    """Merge single-child chains and adjacent equal-weight segments."""
+    while len(node.children) == 1:
+        child = node.children[0]
+        # Merge the seam segments when their weights coincide.
+        if (
+            node.segments
+            and child.segments
+            and abs(node.segments[-1][2] - child.segments[0][2]) <= 1e-12
+        ):
+            lo_child, _, weight = child.segments[0]
+            node.segments[-1] = (lo_child, node.segments[-1][1], weight)
+            node.segments.extend(child.segments[1:])
+        else:
+            node.segments.extend(child.segments)
+        node.members.extend(child.members)
+        node.children = child.children
+    return node
+
+
+class _Estimator:
+    """Left-to-right construction state: alive-from levels and the group tree."""
 
     def __init__(
         self,
@@ -271,119 +320,146 @@ class _EstimationBuilder:
         self.z = validate_threshold(z)
         self.width = int(math.floor(self.z + RELATIVE_TOLERANCE))
         self.length = len(source)
-        self.heavy = source.heavy_codes()
         # Snapshot cadence K (None: the module default at call time; 0: off).
         if checkpoint_every is None:
             checkpoint_every = DEFAULT_CHECKPOINT_EVERY
         self.checkpoint_every = max(0, int(checkpoint_every))
         self.checkpoints: list[EstimationCheckpoint] = []
-        # Per-token alive-from position.
-        self.alive_from = np.zeros(self.width, dtype=np.int64)
-        # Property ends, filled progressively.
+        # Per-token alive-from level.
+        self.alive_from = [0] * self.width
+        # Property ends, filled as levels die.
         self.ends = np.empty((self.width, self.length), dtype=np.int64)
-        # Letter columns: an int when all tokens share the letter, else an array.
-        self.columns: list = []
         # Laminar group tree; the root's coarsest level is the current position.
         # Initially every token is anchored at level 0 (alive from the start).
-        self.root = _Node(
-            segments=[(0, 0, self.z)],
-            members=[(0, token) for token in range(self.width)],
-        )
-        # Scratch arrays reused across positions.
-        self._letters = np.zeros(self.width, dtype=np.int64)
-        self._depths = np.zeros(self.width, dtype=np.int64)
-        self._selected_nodes: list = [None] * self.width
+        self.root = _Node([(0, 0, self.z)], [(0, t) for t in range(self.width)], [])
 
-    # -- checkpoints --------------------------------------------------------------
     def _snapshot(self, position: int) -> EstimationCheckpoint:
-        """Capture the builder state *before* processing ``position``."""
+        """Capture the construction state *before* processing ``position``."""
         return EstimationCheckpoint(
             position=int(position),
-            alive_from=self.alive_from.copy(),
+            alive_from=np.asarray(self.alive_from, dtype=np.int64),
             tree=flatten_group_tree(self.root, root_hi=int(position)),
         )
 
-    # -- public ------------------------------------------------------------------
-    def build(self) -> ZEstimation:
-        if self.width == 0:
-            raise ConstructionError("z must be at least 1 to build a z-estimation")
-        every = self.checkpoint_every
-        for position in range(self.length):
-            if every and position and position % every == 0:
-                self.checkpoints.append(self._snapshot(position))
-            row = np.asarray(self.source.distribution(position), dtype=np.float64)
-            total = row.sum()
-            if total <= 0.0:
-                raise ConstructionError(f"position {position} has zero total probability")
-            row = row / total
-            certain_code = self._certain_letter(row)
-            if certain_code is not None:
-                self._certain_step(position, certain_code)
-            else:
-                self._uncertain_step(position, row)
-        # Close the properties of tokens that are still alive.
-        for token in range(self.width):
-            start = int(self.alive_from[token])
-            if start < self.length:
-                self.ends[token, start:] = self.length - 1
-        strings = self._materialise_strings()
-        return ZEstimation(
-            strings, self.ends, self.z, self.source.alphabet, self.checkpoints
-        )
+    # -- the scan ------------------------------------------------------------------
+    def scan(self, strings: np.ndarray, start: int, stop_at=None) -> int | None:
+        """Process positions ``start .. n-1``, writing their columns of ``strings``.
 
-    # -- per-position steps --------------------------------------------------------
-    @staticmethod
-    def _certain_letter(row: np.ndarray) -> int | None:
-        """The single letter carrying all the probability mass, if any."""
-        positive = np.nonzero(row > 0.0)[0]
-        if len(positive) == 1:
-            return int(positive[0])
+        ``start`` is 0 or a checkpoint position.  Certain positions (one
+        positive letter) never change the construction state, so their columns
+        are written in one broadcast and only the uncertain positions run
+        :meth:`_step`.  Before each checkpoint boundary the state is
+        snapshotted; ``stop_at(snapshot)`` may end the scan there (resume's
+        convergence test), in which case that boundary is returned and the
+        caller owns the uncertain columns and open property ends from it on.
+        Otherwise the property ends of the tokens still alive are closed and
+        ``None`` is returned.
+        """
+        n = self.length
+        tail = self.source.matrix[start:]
+        sums = tail.sum(axis=1)
+        bad = sums <= 0.0
+        if bad.any():
+            position = start + int(np.argmax(bad))
+            raise ConstructionError(f"position {position} has zero total probability")
+        certain = np.count_nonzero(tail > 0.0, axis=1) == 1
+        # For a certain row the single positive letter is the argmax.
+        strings[:, start:][:, certain] = np.argmax(tail[certain], axis=1)[None, :]
+        uncertain = np.flatnonzero(~certain)
+        every = self.checkpoint_every
+        boundary = start + every if every else n
+        for first in range(0, len(uncertain), _BLOCK):
+            offsets = uncertain[first : first + _BLOCK]
+            rows = tail[offsets] / sums[offsets, None]
+            heavy = np.argmax(rows, axis=1).tolist()
+            hits, codes = np.nonzero(rows > 0.0)
+            cuts = np.searchsorted(hits, np.arange(len(offsets) + 1)).tolist()
+            codes = codes.tolist()
+            columns = []
+            for k, (offset, values) in enumerate(zip(offsets.tolist(), rows.tolist())):
+                position = start + offset
+                while boundary <= position:
+                    if self._boundary(boundary, stop_at):
+                        strings[:, offsets[:k] + start] = np.asarray(columns).T
+                        return boundary
+                    boundary += every
+                # Fold the preceding run of certain positions into the
+                # root's coarsest segment.
+                lo, _, weight = self.root.segments[0]
+                self.root.segments[0] = (lo, position, weight)
+                columns.append(
+                    self._step(position, values, codes[cuts[k] : cuts[k + 1]], heavy[k])
+                )
+            strings[:, offsets + start] = np.asarray(columns).T
+        while every and boundary < n:
+            if self._boundary(boundary, stop_at):
+                return boundary
+            boundary += every
+        for token, level in enumerate(self.alive_from):
+            self.ends[token, level:] = n - 1
         return None
 
-    def _certain_step(self, position: int, code: int) -> None:
-        """O(1) fast path: every token keeps its groups and takes ``code``."""
-        self.columns.append(code)
-        lo, hi, weight = self.root.segments[0]
-        self.root.segments[0] = (lo, position + 1, weight)
+    def _boundary(self, position: int, stop_at) -> bool:
+        """Snapshot the state before ``position``; True when ``stop_at`` ends the scan."""
+        snapshot = self._snapshot(position)
+        if stop_at is not None and stop_at(snapshot):
+            return True
+        self.checkpoints.append(snapshot)
+        return False
 
-    def _uncertain_step(self, position: int, row: np.ndarray) -> None:
-        # Plain-Python floats: scalar arithmetic on list entries is several
-        # times faster than indexing numpy scalars and bit-identical (both
-        # are IEEE-754 doubles).
-        row_values = row.tolist()
-        positive = [code for code, value in enumerate(row_values) if value > 0.0]
-        floor = math.floor
+    def _step(self, position: int, values: list, positive: list, heavy: int) -> list:
+        """One uncertain position: assign letters and refine the group tree.
+
+        A single post-order pass.  For each group, tokens freed by its
+        children and its own members anchored at or below each level
+        segment (finest first) fill the quotas ``⌊w·p(α)⌋`` of the row's
+        positive letters ``α``, minus what the children already committed;
+        then the group's refined per-letter groups are built at once from
+        the tokens it assigned and its children's refined groups.  Returns
+        the letters of all tokens at ``position`` (unassigned tokens die
+        here and take the heavy letter).
+        """
         tolerance = RELATIVE_TOLERANCE
-        letters = self._letters
-        depths = self._depths
-        letters[:] = int(np.argmax(row))
-        depths[:] = position + 1  # default: dead at this position
-        selected_nodes = self._selected_nodes
+        keep = 1.0 - RELATIVE_TOLERANCE
+        width = self.width
+        letters = [heavy] * width
+        depths = [position + 1] * width  # default: dead at this position
+        scales = [values[code] for code in positive]
+        # A segment with w·max(p) + tol < 1 has every quota 0 (rounding is
+        # monotone), so it can only feed the pool.
+        largest = max(scales)
+        letter_range = range(len(positive))
 
-        def process(node: _Node) -> tuple[dict[int, int], list[int]]:
-            """Assign letters/survival inside ``node``; return per-letter counts and free tokens."""
-            committed: dict[int, int] = {}
+        def visit(node: _Node):
+            """Fill ``node``'s quotas; return (committed, free pool, refined groups)."""
+            committed = [0] * len(positive)
             pool: list[int] = []
+            refined_children = []
             for child in node.children:
-                child_committed, child_pool = process(child)
-                for code, amount in child_committed.items():
-                    committed[code] = committed.get(code, 0) + amount
+                child_committed, child_pool, child_refined = visit(child)
+                for k in letter_range:
+                    committed[k] += child_committed[k]
                 pool.extend(child_pool)
-            members = sorted(node.members)
+                refined_children.append(child_refined)
+            members = node.members
+            members.sort()
+            member_count = len(members)
             member_index = 0
+            assigned = []
             for lo, hi, weight in reversed(node.segments):
-                while member_index < len(members) and members[member_index][0] <= hi:
+                while member_index < member_count and members[member_index][0] <= hi:
                     pool.append(members[member_index][1])
                     member_index += 1
-                for code in positive:
-                    value = weight * row_values[code]
-                    # Inlined _weight_floor (the innermost arithmetic).
-                    quota = (
-                        0
-                        if value <= 0.0
-                        else int(floor(value + tolerance * (value if value > 1.0 else 1.0)))
-                    )
-                    need = quota - committed.get(code, 0)
+                if weight * largest + tolerance < 1.0:
+                    continue
+                for k in letter_range:
+                    # ⌊w·p + tol·max(1, w·p)⌋; int() floors the positive sum.
+                    value = weight * scales[k]
+                    if value > 1.0:
+                        quota = int(value + tolerance * value)
+                    else:
+                        quota = int(value + tolerance)
+                    need = quota - committed[k]
                     if need <= 0:
                         continue
                     if need > len(pool):
@@ -391,209 +467,80 @@ class _EstimationBuilder:
                             "z-estimation invariant violated at position "
                             f"{position}: need {need} tokens, have {len(pool)}"
                         )
+                    code = positive[k]
                     for _ in range(need):
                         token = pool.pop()
                         letters[token] = code
                         depths[token] = lo
-                        selected_nodes[token] = node
-                    committed[code] = quota
-            if member_index != len(members):
+                        assigned.append((token, code, lo))
+                    committed[k] = quota
+            if member_index != member_count:
                 raise ConstructionError(
                     "z-estimation invariant violated: member anchored below "
                     f"the node's segments at position {position}"
                 )
-            return committed, pool
-
-        process(self.root)
-        self.columns.append(letters.copy())
-
-        # Finalise property ends for every token that lost some start levels.
-        for token in range(self.width):
-            old_start = int(self.alive_from[token])
-            new_start = int(depths[token])
-            if new_start > old_start:
-                self.ends[token, old_start:new_start] = position - 1
-                self.alive_from[token] = new_start
-
-        self._rebuild(position, row, letters, depths, selected_nodes)
-        for token in range(self.width):
-            selected_nodes[token] = None
-
-    # -- tree maintenance ------------------------------------------------------------
-    def _rebuild(
-        self,
-        position: int,
-        row: np.ndarray,
-        letters: np.ndarray,
-        depths: np.ndarray,
-        selected_nodes: list,
-    ) -> None:
-        """Refine the group tree by the letters chosen at ``position``."""
-        survivors_at: dict[int, dict[int, list]] = {}
-        for token in range(self.width):
-            if depths[token] <= position:
-                node = selected_nodes[token]
-                per_letter = survivors_at.setdefault(id(node), {})
-                per_letter.setdefault(int(letters[token]), []).append(
-                    (int(depths[token]), token)
-                )
-
-        row_values = row.tolist()
-
-        def convert(node: _Node) -> dict[int, _Node]:
-            child_results = [convert(child) for child in node.children]
-            own = survivors_at.get(id(node), {})
+            # Refined groups: the letter set is filled from this group's own
+            # assignments in token order, then each child's refined letters
+            # (sibling order is load-bearing: it is the next pool order).
+            own: dict[int, list] = {}
+            assigned.sort()
+            for token, code, lo in assigned:
+                own.setdefault(code, []).append((lo, token))
             codes = set(own)
-            for child_result in child_results:
-                codes.update(child_result)
-            result: dict[int, _Node] = {}
+            for child_refined in refined_children:
+                codes.update(child_refined)
+            refined = {}
             for code in codes:
-                scale = row_values[code]
-                segments = []
-                for lo, hi, weight in node.segments:
-                    scaled = weight * scale
-                    if scaled >= 1.0 - RELATIVE_TOLERANCE:
-                        segments.append((lo, hi, scaled))
+                scale = values[code]
+                segments = [
+                    (lo, hi, scaled)
+                    for lo, hi, weight in node.segments
+                    if (scaled := weight * scale) >= keep
+                ]
                 if not segments:
-                    # The whole subtree weight dropped below 1; no token can be
-                    # alive here (the quotas were 0), so nothing to keep.
+                    # The whole subtree weight dropped below 1; no token can
+                    # be alive here (the quotas were 0), so nothing to keep.
                     continue
-                new_node = _Node(segments=segments, members=list(own.get(code, [])))
-                for child_result in child_results:
-                    child = child_result.get(code)
-                    if child is not None:
-                        new_node.children.append(child)
-                self._normalise(new_node)
-                result[code] = new_node
-            return result
+                children = [
+                    child_refined[code]
+                    for child_refined in refined_children
+                    if code in child_refined
+                ]
+                refined[code] = _normalise(_Node(segments, own.get(code, []), children))
+            return committed, pool, refined
 
-        converted = convert(self.root)
-        dead_members = [
-            (position + 1, token)
-            for token in range(self.width)
-            if depths[token] > position
-        ]
-        new_root = _Node(
-            segments=[(position + 1, position + 1, self.z)],
-            members=dead_members,
-            children=list(converted.values()),
+        _, _, refined = visit(self.root)
+        # Levels below a token's new depth die here: their property ends at
+        # the previous position.
+        ends = self.ends
+        alive_from = self.alive_from
+        dead = []
+        for token in range(width):
+            depth = depths[token]
+            if depth > alive_from[token]:
+                ends[token, alive_from[token] : depth] = position - 1
+                alive_from[token] = depth
+            if depth > position:
+                dead.append((depth, token))
+        self.root = _normalise(
+            _Node([(position + 1, position + 1, self.z)], dead, list(refined.values()))
         )
-        self._normalise(new_root)
-        self.root = new_root
-
-    @staticmethod
-    def _normalise(node: _Node) -> None:
-        """Merge single-child chains and adjacent equal-weight segments."""
-        while len(node.children) == 1:
-            child = node.children[0]
-            # Merge the seam segments when their weights coincide.
-            if (
-                node.segments
-                and child.segments
-                and abs(node.segments[-1][2] - child.segments[0][2]) <= 1e-12
-            ):
-                lo_child, _, weight = child.segments[0]
-                lo_parent, hi_parent, _ = node.segments[-1]
-                node.segments[-1] = (lo_child, hi_parent, weight)
-                node.segments.extend(child.segments[1:])
-            else:
-                node.segments.extend(child.segments)
-            node.members.extend(child.members)
-            node.children = child.children
-
-    # -- materialisation -----------------------------------------------------------
-    def _materialise_strings(self) -> np.ndarray:
-        strings = np.empty((self.width, self.length), dtype=np.int64)
-        for position, column in enumerate(self.columns):
-            strings[:, position] = column
-        return strings
+        return letters
 
 
-class _ArrayEstimationBuilder(_EstimationBuilder):
-    """Vectorised builder: identical output, structure-of-arrays hot path.
-
-    The reference builder dispatches position by position — a handful of
-    numpy calls per position even when the position is certain, which makes
-    the certain fast path O(n) *Python* work.  This builder classifies every
-    position up front with three whole-matrix operations (row sums, positive
-    counts, argmax), materialises all certain columns of every ``S_j`` with
-    one broadcast assignment, and only then walks the (typically sparse)
-    uncertain positions through the inherited group-tree machinery.  The
-    uncertain steps execute the exact same code as the reference builder on
-    the exact same normalised rows, so the resulting family is bit-identical;
-    the construction-parity tests in ``tests/test_estimation.py`` pin this.
-    """
-
-    def build(self) -> ZEstimation:
-        if self.width == 0:
-            raise ConstructionError("z must be at least 1 to build a z-estimation")
-        n = self.length
-        matrix = self.source.matrix
-        strings = np.empty((self.width, n), dtype=np.int64)
-        if n:
-            sums = matrix.sum(axis=1)
-            bad = sums <= 0.0
-            if bad.any():
-                position = int(np.argmax(bad))
-                raise ConstructionError(
-                    f"position {position} has zero total probability"
-                )
-            certain = np.count_nonzero(matrix > 0.0, axis=1) == 1
-            # For a certain row the single positive letter is the argmax.
-            strings[:, certain] = np.argmax(matrix[certain], axis=1)[None, :]
-            uncertain_positions = np.nonzero(~certain)[0]
-        else:
-            uncertain_positions = np.empty(0, dtype=np.int64)
-        # Next checkpoint boundary; certain runs never change builder state,
-        # so the snapshots of all boundaries inside one run are captured
-        # lazily before the next uncertain step (normalised to the boundary
-        # position, exactly the state the reference builder has there).
-        every = self.checkpoint_every
-        next_checkpoint = every if every else n + 1
-        for position in uncertain_positions:
-            position = int(position)
-            while next_checkpoint <= position:
-                self.checkpoints.append(self._snapshot(next_checkpoint))
-                next_checkpoint += every
-            # Fold the preceding run of certain positions into the root's
-            # coarsest segment in one step (the reference builder extends it
-            # one certain position at a time).
-            lo, _, weight = self.root.segments[0]
-            self.root.segments[0] = (lo, position, weight)
-            row = matrix[position]
-            total = row.sum()
-            row = row / total
-            self._uncertain_step(position, row)
-            strings[:, position] = self.columns[-1]
-            self.columns.clear()
-        while next_checkpoint < n:
-            self.checkpoints.append(self._snapshot(next_checkpoint))
-            next_checkpoint += every
-        # Close the properties of tokens that are still alive.
-        if n:
-            alive = np.arange(n, dtype=np.int64)[None, :] >= self.alive_from[:, None]
-            self.ends[alive] = n - 1
-        return ZEstimation(
-            strings, self.ends, self.z, self.source.alphabet, self.checkpoints
-        )
-
-
-#: Selectable construction paths: ``"vectorized"`` is the array-backed fast
-#: path (the default), ``"reference"`` the per-position builder it must stay
-#: bit-identical to (kept for parity tests and old-vs-new benchmarks).
-ESTIMATION_METHODS = ("vectorized", "reference")
-
-_BUILDERS = {
-    "vectorized": _ArrayEstimationBuilder,
-    "reference": _EstimationBuilder,
-}
+def _build(source: WeightedString, z: float, checkpoint_every: int | None) -> ZEstimation:
+    estimator = _Estimator(source, z, checkpoint_every)
+    strings = np.empty((estimator.width, estimator.length), dtype=np.int64)
+    estimator.scan(strings, 0)
+    return ZEstimation(
+        strings, estimator.ends, estimator.z, source.alphabet, estimator.checkpoints
+    )
 
 
 def build_z_estimation(
     source: WeightedString,
     z: float,
     *,
-    method: str = "vectorized",
     checkpoint_every: int | None = None,
 ) -> ZEstimation:
     """Build a z-estimation of ``source`` for the threshold ``1/z`` (Theorem 2).
@@ -601,22 +548,15 @@ def build_z_estimation(
     The returned family satisfies the exact Count property stated in the
     module docstring; in particular a pattern has a z-valid occurrence at
     ``i`` in ``source`` if and only if it occurs at ``i``, respecting the
-    property, in at least one string of the family.  ``method`` selects one
-    of :data:`ESTIMATION_METHODS`; both produce bit-identical families.
+    property, in at least one string of the family.
 
-    ``checkpoint_every`` sets the builder-state snapshot cadence ``K``
+    ``checkpoint_every`` sets the construction-state snapshot cadence ``K``
     (default: :data:`DEFAULT_CHECKPOINT_EVERY`; 0 disables checkpoints).
     Checkpoints never change the family — they only let later point updates
     resume construction through :func:`resume_z_estimation`.
     """
-    try:
-        builder = _BUILDERS[method]
-    except KeyError:
-        known = ", ".join(ESTIMATION_METHODS)
-        raise ConstructionError(
-            f"unknown estimation method {method!r}; known methods: {known}"
-        ) from None
-    return builder(source, z, checkpoint_every).build()
+    with stage_timer("estimation"):
+        return _build(source, z, checkpoint_every)
 
 
 def resume_z_estimation(
@@ -633,7 +573,7 @@ def resume_z_estimation(
     string prefix and already-finalised property ends are copied from
     ``old``, and the left-to-right scan replays forward from the checkpoint.
     At every checkpoint boundary past the last changed position the replayed
-    builder state is compared bit-exactly against ``old``'s snapshot; on the
+    construction state is compared bit-exactly against ``old``'s snapshot; on the
     first match the remaining suffix (strings, open property ends and the
     later checkpoints) is spliced from ``old`` wholesale — the update's
     ripple has provably died out, everything downstream is identical.
@@ -644,101 +584,58 @@ def resume_z_estimation(
     the same cadence; when ``old`` carries no usable checkpoint (old stores,
     an update in the first window, cadence 0) it *is* that full build.
     """
-    changed = sorted({int(p) for p in positions})
-    n = len(source)
-    width = int(math.floor(validate_threshold(z) + RELATIVE_TOLERANCE))
-    checkpoints = list(getattr(old, "checkpoints", ()) or ())
-    usable = (
-        changed
-        and checkpoints
-        and old.z == float(z)
-        and old.length == n
-        and old.width == width
-        and all(0 <= p < n for p in changed)
-    )
-    start = None
-    if usable:
-        candidates = [c for c in checkpoints if c.position <= changed[0]]
-        start = candidates[-1] if candidates else None
-    if start is None:
-        full = build_z_estimation(source, z)
-        return full, {"estimation_replay": "full"}
-    minimum, maximum = changed[0], changed[-1]
-    # Checkpoint positions are multiples of the capture cadence.
-    every = int(checkpoints[0].position)
-    by_position = {int(c.position): c for c in checkpoints}
+    with stage_timer("estimation"):
+        changed = sorted({int(p) for p in positions})
+        n = len(source)
+        width = int(math.floor(validate_threshold(z) + RELATIVE_TOLERANCE))
+        checkpoints = list(getattr(old, "checkpoints", ()) or ())
+        usable = (
+            changed
+            and checkpoints
+            and old.z == float(z)
+            and old.length == n
+            and old.width == width
+            and all(0 <= p < n for p in changed)
+        )
+        candidates = [c for c in checkpoints if c.position <= changed[0]] if usable else []
+        if not candidates:
+            return _build(source, z, None), {"estimation_replay": "full"}
+        start = candidates[-1]
+        resume_at = int(start.position)
+        # Checkpoint positions are multiples of the capture cadence.
+        every = int(checkpoints[0].position)
+        by_position = {int(c.position): c for c in checkpoints}
+        last_changed = changed[-1]
 
-    builder = _ArrayEstimationBuilder(source, z, 0)
-    builder.alive_from = start.alive_from.copy()
-    builder.root = restore_group_tree(start.tree, _Node)
-    resume_at = int(start.position)
+        estimator = _Estimator(source, z, every)
+        estimator.alive_from = start.alive_from.tolist()
+        estimator.root = restore_group_tree(start.tree, _Node)
+        estimator.checkpoints = [c for c in checkpoints if c.position <= resume_at]
+        strings = np.empty((width, n), dtype=np.int64)
+        strings[:, :resume_at] = old.strings[:, :resume_at]
+        ends = estimator.ends
+        levels = np.arange(n, dtype=np.int64)[None, :]
+        finalised = levels < start.alive_from[:, None]
+        ends[finalised] = old.ends[finalised]
 
-    strings = np.empty((width, n), dtype=np.int64)
-    strings[:, :resume_at] = old.strings[:, :resume_at]
-    ends = builder.ends
-    columns = np.arange(n, dtype=np.int64)[None, :]
-    finalised = columns < builder.alive_from[:, None]
-    ends[finalised] = old.ends[finalised]
+        def converged(snapshot: EstimationCheckpoint) -> bool:
+            reference = by_position.get(snapshot.position)
+            return (
+                snapshot.position > last_changed
+                and reference is not None
+                and snapshot.matches(reference)
+            )
 
-    matrix = source.matrix
-    tail = matrix[resume_at:]
-    sums = tail.sum(axis=1)
-    bad = sums <= 0.0
-    if bad.any():
-        position = resume_at + int(np.argmax(bad))
-        raise ConstructionError(f"position {position} has zero total probability")
-    certain = np.count_nonzero(tail > 0.0, axis=1) == 1
-    strings[:, resume_at:][:, certain] = np.argmax(tail[certain], axis=1)[None, :]
-    uncertain_positions = np.nonzero(~certain)[0] + resume_at
-
-    kept = [c for c in checkpoints if c.position <= resume_at]
-    converged_at = None
-    next_checkpoint = resume_at + every
-
-    def check_boundary(boundary: int) -> bool:
-        """Snapshot one boundary; True when the replay converged there."""
-        snapshot = builder._snapshot(boundary)
-        if boundary > maximum:
-            reference = by_position.get(boundary)
-            if reference is not None and snapshot.matches(reference):
-                return True
-        kept.append(snapshot)
-        return False
-
-    for position in uncertain_positions:
-        position = int(position)
-        while next_checkpoint <= position:
-            if check_boundary(next_checkpoint):
-                converged_at = next_checkpoint
-                break
-            next_checkpoint += every
+        converged_at = estimator.scan(strings, resume_at, converged)
         if converged_at is not None:
-            break
-        lo, _, weight = builder.root.segments[0]
-        builder.root.segments[0] = (lo, position, weight)
-        row = matrix[position]
-        row = row / row.sum()
-        builder._uncertain_step(position, row)
-        strings[:, position] = builder.columns[-1]
-        builder.columns.clear()
-    if converged_at is None:
-        while next_checkpoint < n:
-            if check_boundary(next_checkpoint):
-                converged_at = next_checkpoint
-                break
-            next_checkpoint += every
-
-    if converged_at is not None:
-        # Identical state at the boundary + identical suffix rows: everything
-        # the builder would produce from here on matches ``old`` bit for bit.
-        strings[:, converged_at:] = old.strings[:, converged_at:]
-        open_levels = columns >= by_position[converged_at].alive_from[:, None]
-        ends[open_levels] = old.ends[open_levels]
-        kept.extend(c for c in checkpoints if c.position >= converged_at)
-    else:
-        alive = columns >= builder.alive_from[:, None]
-        ends[alive] = n - 1
-    estimation = ZEstimation(strings, ends, z, source.alphabet, kept)
+            # Identical state at the boundary + identical suffix rows:
+            # everything the scan would produce from here on matches
+            # ``old`` bit for bit.
+            strings[:, converged_at:] = old.strings[:, converged_at:]
+            open_levels = levels >= by_position[converged_at].alive_from[:, None]
+            ends[open_levels] = old.ends[open_levels]
+            estimator.checkpoints.extend(c for c in checkpoints if c.position >= converged_at)
+        estimation = ZEstimation(strings, ends, z, source.alphabet, estimator.checkpoints)
     info = {
         "estimation_replay": "checkpoint",
         "replayed_from": resume_at,

@@ -218,9 +218,9 @@ def flatten_group_tree(root, *, root_hi: int | None = None) -> GroupTreeArrays:
 
     ``root`` is duck-typed on ``segments`` / ``members`` / ``children``.
     ``root_hi`` overrides the inclusive upper level of the root's coarsest
-    segment: the reference builder extends it one certain position at a
-    time while the vectorised builder folds whole certain runs in lazily,
-    so snapshots normalise it to the snapshot position to stay comparable.
+    segment: the construction folds whole runs of certain positions into it
+    lazily, before the next uncertain position, so snapshots normalise it
+    to the snapshot position to stay comparable.
     """
     order = []
     parents: list[int] = []

@@ -1227,7 +1227,7 @@ def build_index_data_from_estimation(
     if scheme is None:
         scheme = MinimizerScheme(ell, source.sigma)
     if estimation is None:
-        estimation = build_z_estimation(source, z, method=method)
+        estimation = build_z_estimation(source, z)
     heavy = HeavyString(source)
     if method == "reference":
         raw_forward, raw_backward, _ = build_leaves_from_estimation(

@@ -89,7 +89,7 @@ class MinimizerIndexBase(UncertainStringIndex):
         A pre-built :class:`MinimizerIndexData` (or z-estimation) may be
         shared across variants; the benchmark harness relies on this to
         compare the variants on identical samples.  ``method`` selects the
-        array-backed fast path (default) or the per-leaf reference path.
+        array-backed leaf path (default) or the per-leaf reference path.
         ``grid_brute_force_limit`` overrides the grid's backend-selection
         threshold (grid variants only; ignored elsewhere).
         """

@@ -196,7 +196,8 @@ class ConstructionPipeline:
         method: str = "vectorized",
         grid_brute_force_limit: int | None = None,
     ) -> None:
-        """``method`` picks the construction path of the cached stages — the
+        """``method`` picks the leaf construction path (see
+        :data:`~repro.indexes.minimizer_core.LEAF_METHODS`) — the
         array-backed fast path (default) or the per-leaf ``"reference"``
         path; the old-vs-new construction benchmark runs one pipeline of
         each, every other caller keeps the default.
@@ -225,9 +226,7 @@ class ConstructionPipeline:
     def estimation(self) -> ZEstimation:
         """Stage 1: the z-estimation (cached, shared across variants)."""
         if self._estimation is None:
-            self._estimation = build_z_estimation(
-                self.source, self.z, method=self.method
-            )
+            self._estimation = build_z_estimation(self.source, self.z)
         return self._estimation
 
     def index_data(self) -> MinimizerIndexData:

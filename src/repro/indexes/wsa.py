@@ -46,7 +46,6 @@ class WeightedSuffixArray(UncertainStringIndex):
         *,
         estimation: ZEstimation | None = None,
         space_model: SpaceModel = DEFAULT_SPACE_MODEL,
-        method: str = "vectorized",
     ) -> "WeightedSuffixArray":
         """Build the WSA for ``source`` and threshold ``1/z``.
 
@@ -59,7 +58,7 @@ class WeightedSuffixArray(UncertainStringIndex):
         # The input probability matrix is resident during every construction.
         tracker.allocate(space_model.probabilities(len(source) * source.sigma))
         if estimation is None:
-            estimation = build_z_estimation(source, z, method=method)
+            estimation = build_z_estimation(source, z)
         entries = estimation.width * (estimation.length + 1)
         estimation_cost = space_model.codes(
             estimation.width * estimation.length

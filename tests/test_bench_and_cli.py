@@ -134,6 +134,15 @@ class TestCli:
         assert payload["name"] == "MWSA"
         assert payload["index_size_bytes"] > 0
 
+    def test_build_json_reports_estimation_stage(self, capsys):
+        assert cli_main(
+            ["build", "--dataset", "RSSI", "--length", "300", "--z", "4",
+             "--kind", "MWSA", "--ell", "8", "--json"]
+        ) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["schema"] == "repro.build.v1"
+        assert payload["build"]["stages"]["estimation"] > 0
+
     def test_query_command(self, tmp_path, capsys, paper_example):
         path = tmp_path / "example.pwm"
         write_pwm(path, paper_example)

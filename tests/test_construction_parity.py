@@ -1,14 +1,14 @@
-"""Construction-parity sweep: the array-backed fast path vs the reference path.
+"""Construction-parity sweep: the array-backed leaf path vs the reference path.
 
-The perf work rebuilt the construction hot path as a structure-of-arrays
-pipeline (vectorised z-estimation materialisation, radix-sorted leaf arrays,
-vectorised mismatch extraction) while keeping the per-position / per-leaf
-reference implementation selectable.  These tests pin the contract that the
-fast path is **bit-identical**:
+The perf work rebuilt the leaf construction as a structure-of-arrays
+pipeline (radix-sorted leaf arrays, vectorised mismatch extraction) while
+keeping the per-leaf reference implementation selectable.  These tests pin
+the contract that the fast path is **bit-identical**:
 
-* z-estimations agree entry-for-entry, including the edge cases (z = 1,
-  single-letter alphabets, fully-certain strings, tied-probability rows,
-  rows at the ``_weight_floor`` rounding boundary);
+* the z-estimation (one construction path) matches the golden fixtures of
+  ``tests/fixtures/estimation`` on the edge sources (z = 1, single-letter
+  alphabets, fully-certain strings, tied-probability rows, rows at the
+  rounding boundary of the quota floor);
 * every estimation-built index variant is leaf-identical (anchors, lengths,
   mismatch lists, labels, adjacent LCPs, grid pairing);
 * all 7 variants + the sharded build + store round-trips answer every query
@@ -25,11 +25,11 @@ from test_differential_fuzz import (
     random_patterns,
     random_weighted_string,
 )
+from test_estimation_golden import CASES, assert_matches_golden, load_case
 
 from repro.core.alphabet import Alphabet
-from repro.core.estimation import ESTIMATION_METHODS, build_z_estimation
+from repro.core.estimation import build_z_estimation
 from repro.core.weighted_string import WeightedString
-from repro.errors import ConstructionError
 from repro.indexes import ConstructionPipeline, Query, build_index
 from repro.io.store import load_index, save_index
 
@@ -46,56 +46,53 @@ SWEEP = [
 ]
 
 
-def assert_estimations_identical(source: WeightedString, z: float) -> None:
-    reference = build_z_estimation(source, z, method="reference")
-    vectorized = build_z_estimation(source, z, method="vectorized")
-    assert np.array_equal(reference.strings, vectorized.strings)
-    assert np.array_equal(reference.ends, vectorized.ends)
-    assert reference.z == vectorized.z
-
-
 # --------------------------------------------------------------------------- #
-# estimation edge cases through the vectorised builder                         #
+# estimation edge cases, pinned to the golden fixtures                         #
 # --------------------------------------------------------------------------- #
 class TestEstimationEdgeCases:
-    def test_z_equal_one(self):
-        source = random_weighted_string("uniform", 40, 3, 7)
-        assert_estimations_identical(source, 1.0)
+    def test_z_equal_one(self, monkeypatch):
+        case = assert_matches_golden("uniform-s3", monkeypatch)
+        source = case.source
+        assert 1.0 in [run.z for run in case.runs]
         estimation = build_z_estimation(source, 1.0)
         assert estimation.width == 1
         # The single string of a 1-estimation is the heavy string.
         assert np.array_equal(estimation.strings[0], source.heavy_codes())
 
-    def test_single_letter_alphabet(self):
-        source = WeightedString(
-            np.ones((25, 1), dtype=np.float64), Alphabet("A")
-        )
-        assert_estimations_identical(source, 3.0)
+    def test_single_letter_alphabet(self, monkeypatch):
+        source = assert_matches_golden("single-letter", monkeypatch).source
+        assert source.sigma == 1
         estimation = build_z_estimation(source, 3.0)
         assert np.all(estimation.strings == 0)
         assert np.all(estimation.ends == len(source) - 1)
 
-    def test_fully_certain_string(self):
-        source = WeightedString.from_string("ABBABAABBA")
-        assert_estimations_identical(source, 6.0)
+    def test_fully_certain_string(self, monkeypatch):
+        source = assert_matches_golden("fully-certain", monkeypatch).source
+        assert np.array_equal(
+            source.matrix, WeightedString.from_string("ABBABAABBA").matrix
+        )
         estimation = build_z_estimation(source, 6.0)
         # Every token spells the input with a full-span property.
         for j in range(estimation.width):
             assert np.array_equal(estimation.strings[j], source.heavy_codes())
             assert np.all(estimation.ends[j] == len(source) - 1)
 
-    def test_tied_probability_rows(self):
+    def test_tied_probability_rows(self, monkeypatch):
+        case = assert_matches_golden("tied-rows", monkeypatch)
         rows = [{"A": 0.5, "B": 0.5}] * 6 + [{"A": 1.0}] + [
             {"A": 0.25, "B": 0.25, "C": 0.25, "D": 0.25}
         ] * 4
-        source = WeightedString.from_dicts(rows, Alphabet("ABCD"))
-        for z in (2.0, 4.0, 8.0):
-            assert_estimations_identical(source, z)
+        expected = WeightedString.from_dicts(rows, Alphabet("ABCD"))
+        assert np.array_equal(case.matrix, expected.matrix)
+        assert [run.z for run in case.runs] == [2.0, 4.0, 8.0]
 
-    def test_weight_floor_boundary_rows(self):
-        # z·P lands exactly on integers (0.5/0.25 quotas at z = 4) and just
-        # below them (1/3 rows at z = 3): the rounding-tolerance floor must
-        # behave identically through both builders.
+    def test_weight_floor_boundary_rows(self, monkeypatch):
+        # z·P lands exactly on integers (0.5/0.25 quotas at z = 4, 1/3 rows
+        # at z = 3) and, for rows of short decimals, one ulp below them:
+        # the rounding-tolerance floor of the quotas must keep giving the
+        # pinned family.
+        assert_matches_golden("decimal-rows", monkeypatch)
+        case = assert_matches_golden("floor-boundary", monkeypatch)
         rows = [
             {"A": 0.5, "B": 0.5},
             {"A": 0.5, "B": 0.25, "C": 0.25},
@@ -105,19 +102,19 @@ class TestEstimationEdgeCases:
             {"A": 2.0 / 3.0, "B": 1.0 / 3.0},
             {"A": 0.125, "B": 0.875},
         ] * 3
-        source = WeightedString.from_dicts(rows, Alphabet("ABC"), normalize=True)
-        for z in (2.0, 3.0, 4.0, 8.0):
-            assert_estimations_identical(source, z)
+        expected = WeightedString.from_dicts(rows, Alphabet("ABC"), normalize=True)
+        assert np.array_equal(case.matrix, expected.matrix)
+        assert [run.z for run in case.runs] == [2.0, 3.0, 4.0, 8.0]
 
     def test_edge_sources_against_count_oracle(self):
-        # The defining Count property must hold through the fast path on the
-        # edge sources too (spot checks on short patterns).
+        # The defining Count property must hold on the edge sources too
+        # (spot checks on short patterns).
         source = WeightedString.from_dicts(
             [{"A": 0.5, "B": 0.5}] * 5 + [{"B": 1.0}] * 3,
             Alphabet("AB"),
         )
         z = 4.0
-        estimation = build_z_estimation(source, z, method="vectorized")
+        estimation = build_z_estimation(source, z)
         rng = np.random.default_rng(11)
         for _ in range(25):
             m = int(rng.integers(1, 4))
@@ -130,11 +127,26 @@ class TestEstimationEdgeCases:
             )
             assert estimation.count(pattern, start) == expected
 
-    def test_methods_registry(self):
-        assert set(ESTIMATION_METHODS) == {"vectorized", "reference"}
-        source = WeightedString.from_string("AB")
-        with pytest.raises(ConstructionError):
-            build_z_estimation(source, 2.0, method="nope")
+    def test_golden_fixture_registry(self):
+        # The fixtures span the alphabet sizes and thresholds the estimation
+        # is pinned on, and their update waves exercise both replay modes
+        # (and convergence) of the checkpointed resume.
+        assert {
+            "uniform-s3", "single-letter", "fully-certain", "tied-rows",
+            "floor-boundary", "decimal-rows",
+        } <= set(CASES)
+        cases = [load_case(name) for name in CASES]
+        assert {case.matrix.shape[1] for case in cases} >= {1, 4, 91, 300}
+        assert {run.z for case in cases for run in case.runs} >= {1.0, 5.5, 8.0, 16.0}
+        steps = [step for case in cases for run in case.runs for step in run.steps[1:]]
+        modes = {int(step.replay[0]) for step in steps}
+        assert modes == {0, 1}
+        assert any(step.replay[2] >= 0 for step in steps)  # a converged resume
+        assert any(
+            len(run.steps[0].estimation.checkpoints) >= 5
+            for case in cases
+            for run in case.runs
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -157,7 +169,6 @@ def assert_same_answers(old_index, new_index, patterns, label):
 )
 def test_construction_parity_sweep(tmp_path, name, style, n, sigma, z, ell, seed):
     source = random_weighted_string(style, n, sigma, seed)
-    assert_estimations_identical(source, z)
     patterns = random_patterns(source, ell, seed + 1)
     assert patterns
 

@@ -1,13 +1,18 @@
 """Tests for repro.core.estimation (the Theorem 2 z-estimation)."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_estimation_golden import assert_same_estimation
 
+import repro.core.estimation as estimation_module
 from repro.core import build_z_estimation
+from repro.core.alphabet import Alphabet
+from repro.core.estimation import resume_z_estimation
 from repro.core.numerics import solid_count
 from repro.core.weighted_string import WeightedString
 from repro.errors import InvalidThresholdError
@@ -136,3 +141,54 @@ class TestDerivedQuantities:
         assert paper_estimation.property_suffix_count() > 0
         assert paper_estimation.total_valid_length() >= paper_estimation.property_suffix_count()
         assert paper_estimation.nbytes() > 0
+
+
+def _random_rows(rng, count: int, sigma: int) -> np.ndarray:
+    """Rows mixing certain letters, one dominant letter and free weights."""
+    rows = np.zeros((count, sigma))
+    for row in rows:
+        kind = int(rng.integers(3))
+        if kind == 0:
+            row[int(rng.integers(sigma))] = 1.0
+        elif kind == 1:
+            row[:] = 0.08
+            row[int(rng.integers(sigma))] = 1.0
+        else:
+            row[:] = rng.random(sigma) + 0.02
+    return rows / rows.sum(axis=1)[:, None]
+
+
+class TestResume:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=200),
+        sigma=st.integers(min_value=1, max_value=5),
+        z=st.sampled_from([1, 2, 3.5, 8, 16]),
+        every=st.sampled_from([8, 16]),
+        ranged=st.booleans(),
+        data=st.data(),
+    )
+    def test_resume_equals_fresh_build(self, seed, n, sigma, z, every, ranged, data):
+        rng = np.random.default_rng(seed)
+        alphabet = Alphabet([f"c{code}" for code in range(sigma)])
+        matrix = _random_rows(rng, n, sigma)
+        start = data.draw(st.integers(min_value=0, max_value=n - 1), label="start")
+        if ranged:
+            count = data.draw(st.integers(min_value=1, max_value=min(8, n - start)))
+        else:
+            count = 1
+        positions = list(range(start, start + count))
+        # The full-replay fallback snapshots at the module default cadence.
+        with mock.patch.object(estimation_module, "DEFAULT_CHECKPOINT_EVERY", every):
+            old = build_z_estimation(WeightedString(matrix, alphabet), z)
+            matrix = matrix.copy()
+            matrix[positions] = _random_rows(rng, count, sigma)
+            source = WeightedString(matrix, alphabet)
+            resumed, info = resume_z_estimation(old, source, z, positions)
+            fresh = build_z_estimation(source, z, checkpoint_every=every)
+        assert [c.position for c in fresh.checkpoints] == list(range(every, n, every))
+        assert_same_estimation(resumed, fresh, (n, z, every, positions))
+        if every <= start and every < n:
+            assert info["estimation_replay"] == "checkpoint"
+            assert info["replayed_from"] == start - start % every
