@@ -1,27 +1,25 @@
 """Regression gate: compare a fresh construction-benchmark run to the snapshot.
 
-``BENCH_construction.json`` (committed at the repository root) records the
-construction- and reload-throughput ratios of the array/kernel core at the
-reference workload (n = 20,000).  This checker compares a fresh ``--json``
-run of ``bench_construction_throughput.py`` against that snapshot and fails
-when a metric fell out of band.  Absolute seconds are never compared — the
-fresh run may use a smaller ``--length`` (CI does) and a different machine —
-only two kinds of derived metrics:
+``BENCH_construction.json`` (committed at the repository root) records, for
+every variant at the reference workload (n = 20,000), its build time divided
+by the time of the report's calibration loop.  This checker compares a fresh
+``--json`` run of ``bench_construction_throughput.py`` against that snapshot
+and fails when a metric fell out of band.  Two kinds of metrics are gated:
 
-* **speedup ratios** (fast path vs reference, CSR tries vs the PR-5 object
-  path, the family aggregates): these shrink with the workload, so the band
-  is relative — ``fresh >= snapshot * min_ratio`` with ``min_ratio``
-  defaulting to 0.25, generous enough for a 5x smaller CI workload and noisy
-  shared runners, tight enough to catch a path silently falling back to a
-  quadratic implementation;
-* **reload speedups** (build seconds / load seconds): the build side grows
-  with n while the load side barely moves, so these are gated on an
-  *absolute* floor instead — a reload that re-derived its tries or grid
-  would land near 1x, far below the default floor of 2x.
+* **normalised build time** of each row (build seconds / calibration
+  seconds): dividing by the calibration loop run on the same host cancels
+  most of the machine's speed, so the band is relative to the snapshot —
+  ``fresh <= snapshot * MAX_RATIO`` with ``MAX_RATIO`` = 4, generous
+  enough for noisy shared runners, tight enough to catch a path silently
+  falling back to a quadratic implementation.  The fresh run must
+  use the snapshot's workload (length, z, ℓ, shards);
+* **reload speedups** (build seconds / load seconds): gated on an
+  *absolute* floor — a reload that re-derived its tries or grid would land
+  near 1x, far below the default floor of 2x.
 
 Usage::
 
-    python benchmarks/bench_construction_throughput.py --length 4000 \
+    python benchmarks/bench_construction_throughput.py --length 20000 \
         --skip-memory --json > fresh.json
     python benchmarks/check_construction_regression.py \
         --snapshot BENCH_construction.json --fresh fresh.json
@@ -31,74 +29,59 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
-#: Top-level ratio metrics compared snapshot-vs-fresh.
-AGGREGATE_METRICS = (
-    "monolithic_minimizer_family_speedup",
-    "tree_family_pr5_speedup",
-)
-DEFAULT_MIN_RATIO = 0.25
+#: Workload parameters a fresh run must share with the snapshot.
+WORKLOAD_KEYS = ("length", "z", "ell", "shards")
+#: How many times the snapshot's normalised build time a fresh row may take.
+MAX_RATIO = 4.0
 DEFAULT_MIN_RELOAD_SPEEDUP = 2.0
 
 
-def _normalize_kind(kind: str) -> str:
-    """Strip the shard count: ``SHARDED[MWSA]x8`` and ``x4`` are one series."""
-    return re.sub(r"x\d+$", "", kind)
-
-
-def _row_ratios(report: dict, key: str, metric: str) -> dict[str, float]:
+def _row_values(report: dict, key: str, metric: str) -> dict[str, float]:
     return {
-        _normalize_kind(row["kind"]): row[metric]
+        row["kind"]: float(row[metric])
         for row in report.get(key, ())
         if row.get(metric) is not None
     }
 
 
-def collect_speedups(report: dict) -> dict[str, float]:
-    """The workload-relative speedup metrics of one report."""
-    ratios = {}
-    for metric in AGGREGATE_METRICS:
-        value = report.get(metric)
-        if value is not None:
-            ratios[metric] = float(value)
-    for kind, value in _row_ratios(report, "rows", "speedup").items():
-        ratios[f"rows/{kind}/speedup"] = float(value)
-    for kind, value in _row_ratios(report, "tree_rows", "speedup").items():
-        ratios[f"tree_rows/{kind}/speedup"] = float(value)
-    return ratios
+def collect_normalized_builds(report: dict) -> dict[str, float]:
+    """Build seconds per calibration second, per row."""
+    return {
+        f"rows/{kind}/normalized_build": value
+        for kind, value in _row_values(report, "rows", "normalized_build").items()
+    }
 
 
 def collect_reload_speedups(report: dict) -> dict[str, float]:
     """The reload speedups (gated on an absolute floor)."""
     return {
-        f"reload_rows/{kind}/reload_speedup": float(value)
-        for kind, value in _row_ratios(report, "reload_rows", "reload_speedup").items()
+        f"reload_rows/{kind}/reload_speedup": value
+        for kind, value in _row_values(report, "reload_rows", "reload_speedup").items()
     }
 
 
 def compare(
     snapshot: dict,
     fresh: dict,
-    min_ratio: float,
-    min_reload_speedup: float,
+    min_reload_speedup: float = DEFAULT_MIN_RELOAD_SPEEDUP,
 ) -> list[str]:
     """Violation messages; empty when the fresh run is within the band."""
-    violations = []
-    fresh_speedups = collect_speedups(fresh)
-    for name, reference in sorted(collect_speedups(snapshot).items()):
-        value = fresh_speedups.get(name)
+    violations = [
+        f"workload {key}: fresh {fresh.get(key)!r} != snapshot {snapshot.get(key)!r}"
+        for key in WORKLOAD_KEYS
+        if fresh.get(key) != snapshot.get(key)
+    ]
+    fresh_builds = collect_normalized_builds(fresh)
+    for name, reference in sorted(collect_normalized_builds(snapshot).items()):
+        value = fresh_builds.get(name)
         if value is None:
+            violations.append(f"{name}: missing from the fresh run")
+        elif value > reference * MAX_RATIO:
             violations.append(
-                f"{name}: missing from the fresh run (snapshot {reference:.2f}x)"
-            )
-            continue
-        floor = reference * min_ratio
-        if value < floor:
-            violations.append(
-                f"{name}: fresh {value:.2f}x < {floor:.2f}x "
-                f"(snapshot {reference:.2f}x * tolerance {min_ratio:g})"
+                f"{name}: fresh {value:.1f} > {reference * MAX_RATIO:.1f} "
+                f"(snapshot {reference:.1f} * tolerance {MAX_RATIO:g})"
             )
     fresh_reloads = collect_reload_speedups(fresh)
     for name in sorted(collect_reload_speedups(snapshot)):
@@ -119,11 +102,6 @@ def main(argv=None) -> int:
     parser.add_argument("--snapshot", required=True, help="committed BENCH_construction.json")
     parser.add_argument("--fresh", required=True, help="fresh --json run to check")
     parser.add_argument(
-        "--min-ratio", type=float, default=DEFAULT_MIN_RATIO,
-        help=f"fresh speedups must reach this fraction of the snapshot "
-        f"(default {DEFAULT_MIN_RATIO:g})",
-    )
-    parser.add_argument(
         "--min-reload-speedup", type=float, default=DEFAULT_MIN_RELOAD_SPEEDUP,
         help=f"absolute floor on every reload speedup "
         f"(default {DEFAULT_MIN_RELOAD_SPEEDUP:g}x)",
@@ -133,10 +111,10 @@ def main(argv=None) -> int:
         snapshot = json.load(handle)
     with open(arguments.fresh, "r", encoding="utf-8") as handle:
         fresh = json.load(handle)
-    violations = compare(
-        snapshot, fresh, arguments.min_ratio, arguments.min_reload_speedup
+    violations = compare(snapshot, fresh, arguments.min_reload_speedup)
+    compared = len(collect_normalized_builds(snapshot)) + len(
+        collect_reload_speedups(snapshot)
     )
-    compared = len(collect_speedups(snapshot)) + len(collect_reload_speedups(snapshot))
     if violations:
         print(f"REGRESSION: {len(violations)} of {compared} metrics out of band")
         for message in violations:
@@ -144,9 +122,10 @@ def main(argv=None) -> int:
         return 1
     print(
         f"OK: {compared} metrics within the tolerance band "
-        f"(min ratio {arguments.min_ratio:g}, reload floor "
-        f"{arguments.min_reload_speedup:g}x; snapshot n={snapshot.get('length')}, "
-        f"fresh n={fresh.get('length')})"
+        f"(max ratio {MAX_RATIO:g}, reload floor "
+        f"{arguments.min_reload_speedup:g}x; n={snapshot.get('length')}, "
+        f"calibration {fresh['calibration']['seconds'] * 1e3:.1f} ms fresh, "
+        f"{snapshot['calibration']['seconds'] * 1e3:.1f} ms snapshot)"
     )
     return 0
 

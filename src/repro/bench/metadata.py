@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .._kernels import engine
 from ..version import __version__
 from .measure import peak_rss_bytes
 
@@ -51,9 +50,6 @@ def run_metadata() -> dict:
         "python_version": platform.python_version(),
         "python_implementation": platform.python_implementation(),
         "numpy_version": np.__version__,
-        # Which kernel engine served the scalar loops: "numba" when the
-        # optional compiled layer is active, "python" for the fallback.
-        "engine": engine(),
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),

@@ -443,7 +443,7 @@ def _command_info(arguments) -> dict:
 def _command_build(arguments) -> dict:
     machine = getattr(arguments, "json", False)
     if machine:
-        from ._kernels import collect_stages
+        from .timing import collect_stages
 
         # --json is the measured report: run the build under tracemalloc so
         # the schema carries an exact Python-side peak, not just the
@@ -475,8 +475,8 @@ def _command_build(arguments) -> dict:
         store_report["store_dir"] = arguments.store_dir
         store_report["store_dir_seconds"] = time.perf_counter() - started
     if machine:
-        from ._kernels import collect_stages, engine
         from .bench.measure import peak_rss_bytes
+        from .timing import collect_stages
 
         return {
             "schema": "repro.build.v1",
@@ -484,7 +484,6 @@ def _command_build(arguments) -> dict:
                 "wall_seconds": wall_seconds,
                 "tracemalloc_peak_bytes": tracemalloc_peak,
                 "peak_rss_bytes": peak_rss_bytes(),
-                "engine": engine(),
                 "stages": collect_stages(),
             },
             "index": report,

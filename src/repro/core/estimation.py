@@ -78,8 +78,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._kernels import stage_timer
 from ..errors import ConstructionError
+from ..timing import stage_timer
 from .numerics import RELATIVE_TOLERANCE, validate_threshold
 from .properties import (
     GroupTreeArrays,

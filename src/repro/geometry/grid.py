@@ -30,7 +30,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .._kernels import stage_timer
+from ..timing import stage_timer
 
 __all__ = ["BruteForceGrid", "RangeTree2D", "Grid2D"]
 

@@ -81,15 +81,13 @@ class MinimizerIndexBase(UncertainStringIndex):
         estimation: ZEstimation | None = None,
         data: MinimizerIndexData | None = None,
         space_model: SpaceModel = DEFAULT_SPACE_MODEL,
-        method: str = "vectorized",
         grid_brute_force_limit: int | None = None,
     ) -> "MinimizerIndexBase":
         """Build the index through the explicit z-estimation path (Lemma 5).
 
         A pre-built :class:`MinimizerIndexData` (or z-estimation) may be
         shared across variants; the benchmark harness relies on this to
-        compare the variants on identical samples.  ``method`` selects the
-        array-backed leaf path (default) or the per-leaf reference path.
+        compare the variants on identical samples.
         ``grid_brute_force_limit`` overrides the grid's backend-selection
         threshold (grid variants only; ignored elsewhere).
         """
@@ -99,7 +97,7 @@ class MinimizerIndexBase(UncertainStringIndex):
         tracker.allocate(space_model.probabilities(len(source) * source.sigma))
         if data is None:
             data = build_index_data_from_estimation(
-                source, z, ell, scheme=scheme, estimation=estimation, method=method
+                source, z, ell, scheme=scheme, estimation=estimation
             )
         elif data.ell != ell:
             raise ConstructionError(

@@ -193,20 +193,13 @@ class ConstructionPipeline:
         ell: int | None = None,
         scheme: MinimizerScheme | None = None,
         estimation: ZEstimation | None = None,
-        method: str = "vectorized",
         grid_brute_force_limit: int | None = None,
     ) -> None:
-        """``method`` picks the leaf construction path (see
-        :data:`~repro.indexes.minimizer_core.LEAF_METHODS`) — the
-        array-backed fast path (default) or the per-leaf ``"reference"``
-        path; the old-vs-new construction benchmark runs one pipeline of
-        each, every other caller keeps the default.
-        ``grid_brute_force_limit`` overrides the ``Grid2D`` backend-selection
+        """``grid_brute_force_limit`` overrides the ``Grid2D`` backend-selection
         threshold for the grid variants built by this pipeline."""
         self.source = source
         self.z = z
         self.ell = ell
-        self.method = method
         self.grid_brute_force_limit = grid_brute_force_limit
         self._scheme = scheme
         self._estimation = estimation
@@ -242,7 +235,6 @@ class ConstructionPipeline:
                 self.ell,
                 scheme=self.scheme(),
                 estimation=self.estimation(),
-                method=self.method,
             )
         return self._data
 

@@ -26,14 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._kernels import NUMBA
-from .._kernels.segtree import (
-    PAIR_SENTINEL_HI,
-    PAIR_SENTINEL_LO,
-    seg_bulk_fill,
-    seg_range_min,
-    seg_set,
-)
 from ..core.heavy import HeavyString
 from ..core.numerics import is_solid_probability, validate_threshold
 from ..core.weighted_string import WeightedString
@@ -121,79 +113,6 @@ class _MinSegmentTree:
             lo >>= 1
             hi >>= 1
         return best
-
-
-class _KernelMinSegmentTree:
-    """Array twin of :class:`_MinSegmentTree` driven by the compiled kernels.
-
-    Packed keys exceed 64 bits (the random-order value alone is a full
-    uint64), so each key is split into an ``(order, tie)`` pair compared
-    lexicographically — the exact big-int comparison order.  The public
-    interface (packed ints in, packed ints out, same sentinel) is identical,
-    so the DFS code is engine-agnostic.
-    """
-
-    _SENTINEL = _MinSegmentTree._SENTINEL
-    _LOW_MASK = 0xFFFFFFFF
-
-    def __init__(self, size: int) -> None:
-        self._size = 1
-        while self._size < max(1, size):
-            self._size *= 2
-        self._hi = np.full(2 * self._size, PAIR_SENTINEL_HI, dtype=np.uint64)
-        self._lo = np.full(2 * self._size, PAIR_SENTINEL_LO, dtype=np.int64)
-
-    def set(self, position: int, key: int) -> None:
-        if key == self._SENTINEL:
-            self.clear(position)
-            return
-        seg_set(
-            self._hi,
-            self._lo,
-            self._size,
-            position,
-            np.uint64(key >> 32),
-            np.int64(key & self._LOW_MASK),
-        )
-
-    def clear(self, position: int) -> None:
-        seg_set(
-            self._hi,
-            self._lo,
-            self._size,
-            position,
-            np.uint64(PAIR_SENTINEL_HI),
-            np.int64(PAIR_SENTINEL_LO),
-        )
-
-    def bulk_fill(self, leaf_keys: list) -> None:
-        """Set leaves ``0 .. len(leaf_keys)`` at once (O(size) rebuild)."""
-        sentinel = self._SENTINEL
-        leaf_hi = np.array(
-            [PAIR_SENTINEL_HI if key == sentinel else key >> 32 for key in leaf_keys],
-            dtype=np.uint64,
-        )
-        leaf_lo = np.array(
-            [
-                PAIR_SENTINEL_LO if key == sentinel else key & self._LOW_MASK
-                for key in leaf_keys
-            ],
-            dtype=np.int64,
-        )
-        seg_bulk_fill(self._hi, self._lo, self._size, leaf_hi, leaf_lo)
-
-    def range_min(self, lo: int, hi: int) -> int:
-        """Minimum key over positions [lo, hi); the sentinel if empty."""
-        best_hi, best_lo = seg_range_min(self._hi, self._lo, self._size, lo, hi)
-        best_hi, best_lo = int(best_hi), int(best_lo)
-        if best_hi == PAIR_SENTINEL_HI and best_lo == PAIR_SENTINEL_LO:
-            return self._SENTINEL
-        return (best_hi << 32) | best_lo
-
-
-#: Engine-selected segment tree: big-int list tree on CPython, pair-keyed
-#: array tree under the compiled kernels (bit-identical key order).
-_SegmentTree = _KernelMinSegmentTree if NUMBA else _MinSegmentTree
 
 
 class _ExtendedFactorDFS:
@@ -294,7 +213,7 @@ class _ExtendedFactorDFS:
         heavy = self.heavy
         heavy_codes = self.heavy_codes
         path_letters = np.zeros(n, dtype=np.int64)
-        tree = _SegmentTree(max(1, n - k + 1))
+        tree = _MinSegmentTree(max(1, n - k + 1))
         pending: set[int] = set()
         diff_stack: list[tuple[int, int]] = []
         leaves: list[FactorLeaf] = []

@@ -12,11 +12,34 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .._kernels.lcp import kasai
 from .rmq import SparseTableRMQ
 from .suffix_array import rank_array, suffix_array
 
 __all__ = ["lcp_array", "LCEIndex", "lcp_of_strings"]
+
+
+def _kasai(text, sa, ranks, lcp) -> None:
+    """Fill ``lcp`` (same convention as :func:`lcp_array`: lcp[0] = 0).
+
+    One sequential pass over text positions; the amortised O(n) bound depends
+    on carrying ``length - 1`` between iterations, so the loop cannot
+    vectorise.
+    """
+    n = text.shape[0]
+    length = 0
+    for position in range(n):
+        rank = ranks[position]
+        if rank == 0:
+            length = 0
+            continue
+        other = sa[rank - 1]
+        longer = position if position > other else other
+        limit = n - longer
+        while length < limit and text[position + length] == text[other + length]:
+            length += 1
+        lcp[rank] = length
+        if length > 0:
+            length -= 1
 
 
 def lcp_array(text: Sequence[int], sa: np.ndarray) -> np.ndarray:
@@ -27,7 +50,7 @@ def lcp_array(text: Sequence[int], sa: np.ndarray) -> np.ndarray:
     if n == 0:
         return lcp
     ranks = rank_array(sa)
-    kasai(text, np.ascontiguousarray(sa, dtype=np.int64), ranks, lcp)
+    _kasai(text, np.ascontiguousarray(sa, dtype=np.int64), ranks, lcp)
     return lcp
 
 

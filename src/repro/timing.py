@@ -1,10 +1,9 @@
 """Per-stage wall-clock accounting for construction provenance.
 
-The builders of the heavy structures (trie topology, grid levels, suffix
-array) wrap their hot section in :func:`stage_timer`; ``build --json`` and
-the benchmark metadata drain the accumulated totals with
-:func:`collect_stages` so every reported number names the stages (and the
-engine) that produced it.
+The builders of the heavy structures (z-estimation, trie topology, grid
+levels, suffix array) wrap their hot section in :func:`stage_timer`;
+``build --json`` drains the accumulated totals with :func:`collect_stages`
+so every reported number names the stages that produced it.
 """
 
 from __future__ import annotations

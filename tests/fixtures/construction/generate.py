@@ -31,11 +31,10 @@ import numpy as np
 
 from repro.core.alphabet import Alphabet
 from repro.core.weighted_string import WeightedString
-from repro.indexes import ConstructionPipeline, build_index
+from repro.indexes import ConstructionPipeline
 from repro.indexes.minimizer_core import LeafCollection
 from repro.strings.lcp import lcp_array
-from repro.strings.trie import _CSR_ARRAY_NAMES, TrieNode, trie_implementation
-from repro.strings.suffix_array import suffix_array
+from repro.strings.trie import _CSR_ARRAY_NAMES
 
 HERE = Path(__file__).resolve().parent
 
@@ -131,48 +130,6 @@ def check_suffix_array(text: np.ndarray, sa: np.ndarray) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# cross-checks against the second construction of each structure               #
-# --------------------------------------------------------------------------- #
-def assert_same_tree(a: TrieNode, b: TrieNode) -> None:
-    assert (a.depth, a.parent_depth, a.edge_key) == (b.depth, b.parent_depth, b.edge_key)
-    assert (a.lo, a.hi, a.terminal) == (b.lo, b.hi, b.terminal)
-    assert list(a.children) == list(b.children)
-    for letter in a.children:
-        assert_same_tree(a.children[letter], b.children[letter])
-
-
-def check_against_second_paths(source, z, ell, data, built) -> None:
-    """Reference vs array leaves, object vs CSR tries, SA-IS vs prefix doubling."""
-    old = ConstructionPipeline(source, z, ell=ell, method="reference").index_data()
-    for side in ("forward", "backward"):
-        new_collection = getattr(data, side)
-        old_collection = getattr(old, side)
-        for name in LEAF_FIELDS:
-            assert np.array_equal(
-                getattr(old_collection.arrays, name), getattr(new_collection.arrays, name)
-            ), (side, name)
-        assert np.array_equal(old_collection.raw_to_sorted, new_collection.raw_to_sorted)
-        assert np.array_equal(old_collection.adjacent_lcps(), new_collection.adjacent_lcps())
-    assert old.pairs == data.pairs
-    with trie_implementation("object"):
-        objects = {kind: build_index(source, z, kind=kind, ell=ell) for kind in ("MWST", "MWST-SE")}
-        objects["WST"] = build_index(source, z, kind="WST")
-    for kind in ("MWST", "MWST-SE"):
-        for side in ("forward", "backward"):
-            csr = getattr(built[kind].data, side).build_trie()
-            obj = getattr(objects[kind].data, side).build_trie()
-            assert csr.implementation == "csr" and obj.implementation == "object"
-            assert csr.node_count == obj.node_count
-            assert_same_tree(csr.root, obj.root)
-    assert built["WST"]._trie.node_count == objects["WST"]._trie.node_count
-    assert_same_tree(built["WST"]._trie.root, objects["WST"]._trie.root)
-    text = built["WSA"].structure.text
-    assert np.array_equal(
-        suffix_array(text, method="sais"), suffix_array(text, method="prefix_doubling")
-    )
-
-
-# --------------------------------------------------------------------------- #
 # encoding                                                                     #
 # --------------------------------------------------------------------------- #
 def trie_arrays(prefix: str, trie) -> dict:
@@ -202,7 +159,6 @@ def generate_case(matrix: np.ndarray, z: float, ell: int) -> dict:
     check_suffix_array(structure.text, structure.sa)
     arrays["wsa_sa"] = structure.sa
     arrays["wsa_lcp"] = lcp_array(structure.text, structure.sa)
-    check_against_second_paths(source, z, ell, data, built)
     return arrays
 
 

@@ -1,18 +1,19 @@
-"""Construction-parity sweep: the array-backed leaf path vs the reference path.
+"""Construction sweep: every structure against plain oracles.
 
-The perf work rebuilt the leaf construction as a structure-of-arrays
-pipeline (radix-sorted leaf arrays, vectorised mismatch extraction) while
-keeping the per-leaf reference implementation selectable.  These tests pin
-the contract that the fast path is **bit-identical**:
+Each structure has one construction path; these tests pin it to oracles
+that share no code with it (``tests/test_construction_golden.py`` pins the
+same paths bit for bit to stored fixtures):
 
-* the z-estimation (one construction path) matches the golden fixtures of
+* the z-estimation matches the golden fixtures of
   ``tests/fixtures/estimation`` on the edge sources (z = 1, single-letter
   alphabets, fully-certain strings, tied-probability rows, rows at the
   rounding boundary of the quota floor);
-* every estimation-built index variant is leaf-identical (anchors, lengths,
-  mismatch lists, labels, adjacent LCPs, grid pairing);
-* all 7 variants + the sharded build + store round-trips answer every query
-  mode identically through either path.
+* the sorted leaves of the explicit construction equal a Python sort of
+  ``(letters, position, source)`` — also with tiny sort limits and with an
+  alphabet too wide for byte keys — their adjacent LCPs equal the naive
+  common prefix, and the grid pairing links the two leaves of each label;
+* all 7 variants, the sharded build and a store round trip answer every
+  query mode exactly like the brute-force ``Occ_{1/z}`` oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from test_differential_fuzz import (
-    MODES,
+    assert_index_matches_oracle,
     leaf_tuples,
     random_patterns,
     random_weighted_string,
@@ -30,11 +31,10 @@ from test_estimation_golden import CASES, assert_matches_golden, load_case
 from repro.core.alphabet import Alphabet
 from repro.core.estimation import build_z_estimation
 from repro.core.weighted_string import WeightedString
-from repro.indexes import ConstructionPipeline, Query, build_index
+from repro.indexes import ConstructionPipeline, build_index
+from repro.indexes.minimizer_core import LeafCollection
 from repro.io.store import load_index, save_index
 
-#: The estimation-built kinds whose leaf data must be row-identical.
-ESTIMATION_MINIMIZER_KINDS = ("MWST", "MWSA", "MWST-G", "MWSA-G")
 ALL_MONOLITHIC = ("WST", "WSA", "MWST", "MWSA", "MWST-G", "MWSA-G", "MWST-SE")
 
 #: (name, style, n, sigma, z, ell, seed) — a bounded, deterministic sweep.
@@ -150,18 +150,46 @@ class TestEstimationEdgeCases:
 
 
 # --------------------------------------------------------------------------- #
-# the sweep: leaf identity + query identity across every variant               #
+# the sweep: leaf order, LCPs and pairing against Python, queries against     #
+# the brute-force oracle                                                       #
 # --------------------------------------------------------------------------- #
-def assert_same_answers(old_index, new_index, patterns, label):
-    queries = [
-        Query(pattern, mode=mode, k=3 if mode == "topk" else None)
-        for pattern in patterns
-        for mode in MODES
+def common_prefix(first, second) -> int:
+    limit = min(len(first), len(second))
+    for offset in range(limit):
+        if first[offset] != second[offset]:
+            return offset
+    return limit
+
+
+def assert_sorted_like_python(collection: LeafCollection) -> None:
+    """Leaf order vs a Python sort, adjacent LCPs vs the naive common prefix."""
+    keys = [
+        (tuple(collection.leaf_codes(index)), int(position), int(source))
+        for index, (position, source) in enumerate(
+            zip(collection.positions, collection.sources)
+        )
     ]
-    old_results = old_index.query_many(queries)
-    new_results = new_index.query_many(queries)
-    for old, new in zip(old_results, new_results):
-        assert old.as_dict() == new.as_dict(), label
+    assert keys == sorted(keys)
+    lcps = collection.adjacent_lcps()
+    assert [int(value) for value in lcps[1:]] == [
+        common_prefix(keys[index - 1][0], keys[index][0]) for index in range(1, len(keys))
+    ]
+
+
+def assert_explicit_data(data) -> None:
+    """Both collections sorted like Python; pairs link the two leaves of a label."""
+    assert_sorted_like_python(data.forward)
+    assert_sorted_like_python(data.backward)
+    forward, backward = data.forward, data.backward
+    assert data.pairs == list(
+        zip(forward.raw_to_sorted.tolist(), backward.raw_to_sorted.tolist())
+    )
+    assert sorted(x for x, _ in data.pairs) == list(range(len(forward)))
+    for x, y in data.pairs:
+        assert (forward.positions[x], forward.sources[x]) == (
+            backward.positions[y],
+            backward.sources[y],
+        )
 
 
 @pytest.mark.parametrize(
@@ -172,48 +200,26 @@ def test_construction_parity_sweep(tmp_path, name, style, n, sigma, z, ell, seed
     patterns = random_patterns(source, ell, seed + 1)
     assert patterns
 
-    old_pipeline = ConstructionPipeline(source, z, ell=ell, method="reference")
-    new_pipeline = ConstructionPipeline(source, z, ell=ell, method="vectorized")
+    pipeline = ConstructionPipeline(source, z, ell=ell)
     for kind in ALL_MONOLITHIC:
-        old_index = old_pipeline.build(kind)
-        new_index = new_pipeline.build(kind)
-        assert_same_answers(old_index, new_index, patterns, (name, kind))
-        if kind in ESTIMATION_MINIMIZER_KINDS:
-            old_data, new_data = old_index.data, new_index.data
-            assert leaf_tuples(old_data.forward) == leaf_tuples(new_data.forward)
-            assert leaf_tuples(old_data.backward) == leaf_tuples(new_data.backward)
-            assert np.array_equal(
-                old_data.forward.adjacent_lcps(), new_data.forward.adjacent_lcps()
-            )
-            assert np.array_equal(
-                old_data.backward.adjacent_lcps(), new_data.backward.adjacent_lcps()
-            )
-            assert old_data.pairs == new_data.pairs
-            assert np.array_equal(
-                old_data.forward.raw_to_sorted, new_data.forward.raw_to_sorted
-            )
+        assert_index_matches_oracle(pipeline.build(kind), source, patterns, z, (name, kind))
+    assert_explicit_data(pipeline.index_data())
 
-    # Sharded builds: the per-shard construction path must not change answers.
-    old_sharded = build_index(
-        source, z, kind="MWSA", ell=ell, shards=3, max_pattern_len=2 * ell,
-        method="reference",
+    # Sharded builds: every shard is an explicit build of its slice.
+    sharded = build_index(
+        source, z, kind="MWSA", ell=ell, shards=3, max_pattern_len=2 * ell
     )
-    new_sharded = build_index(
-        source, z, kind="MWSA", ell=ell, shards=3, max_pattern_len=2 * ell,
-        method="vectorized",
-    )
-    assert_same_answers(old_sharded, new_sharded, patterns, (name, "sharded"))
-    for old_shard, new_shard in zip(old_sharded.shard_indexes, new_sharded.shard_indexes):
-        assert leaf_tuples(old_shard.data.forward) == leaf_tuples(new_shard.data.forward)
+    assert_index_matches_oracle(sharded, source, patterns, z, (name, "sharded"))
+    for shard in sharded.shard_indexes:
+        assert_explicit_data(shard.data)
 
-    # Store round-trip: persisting the array-backed build and reloading it
-    # must reproduce the reference-path answers too.
-    save_index(tmp_path / "new.idx", new_pipeline.build("MWSA-G"))
-    reloaded = load_index(tmp_path / "new.idx")
-    assert_same_answers(old_pipeline.build("MWSA-G"), reloaded, patterns, (name, "store"))
-    assert leaf_tuples(reloaded.data.forward) == leaf_tuples(
-        old_pipeline.build("MWSA-G").data.forward
-    )
+    # Store round trip: the reloaded index keeps its leaves and pairing.
+    built = pipeline.build("MWSA-G")
+    save_index(tmp_path / "new.idx", built)
+    loaded = load_index(tmp_path / "new.idx")
+    assert_index_matches_oracle(loaded, source, patterns, z, (name, "store"))
+    assert leaf_tuples(loaded.data.forward) == leaf_tuples(built.data.forward)
+    assert loaded.data.pairs == built.data.pairs
 
 
 def test_sort_parity_with_tiny_widening_limits(monkeypatch):
@@ -221,23 +227,14 @@ def test_sort_parity_with_tiny_widening_limits(monkeypatch):
 
     Shrinking the prefix/widening limits makes every sort exercise the
     doubling rounds and the heavy-LCE fallback, which realistic alphabets
-    almost never reach; the resulting order must still equal the reference
-    sort's (the total order is unique).
+    almost never reach; the order and the adjacent LCPs must still be the
+    Python sort's.
     """
-    from repro.indexes.minimizer_core import LeafCollection
-
     monkeypatch.setattr(LeafCollection, "PRESORT_PREFIX", 2)
     monkeypatch.setattr(LeafCollection, "SORT_WIDEN_LIMIT", 4)
     for seed in (31, 32):
         source = random_weighted_string("degenerate", 90, 3, seed)
-        z, ell = 4.0, 3
-        old_data = ConstructionPipeline(source, z, ell=ell, method="reference").index_data()
-        new_data = ConstructionPipeline(source, z, ell=ell, method="vectorized").index_data()
-        assert leaf_tuples(old_data.forward) == leaf_tuples(new_data.forward)
-        assert leaf_tuples(old_data.backward) == leaf_tuples(new_data.backward)
-        assert np.array_equal(
-            old_data.forward.adjacent_lcps(), new_data.forward.adjacent_lcps()
-        )
+        assert_explicit_data(ConstructionPipeline(source, 4.0, ell=3).index_data())
 
 
 def test_sort_parity_beyond_byte_packing():
@@ -253,12 +250,10 @@ def test_sort_parity_beyond_byte_packing():
     matrix[fuzzy, rng.integers(0, sigma, int(fuzzy.sum()))] = 0.6
     matrix[fuzzy, rng.integers(0, sigma, int(fuzzy.sum()))] += 0.4
     source = WeightedString(matrix, alphabet, normalize=True)
-    z, ell = 3.0, 2
-    old_data = ConstructionPipeline(source, z, ell=ell, method="reference").index_data()
-    new_data = ConstructionPipeline(source, z, ell=ell, method="vectorized").index_data()
-    assert len(new_data.forward) > 0
-    assert leaf_tuples(old_data.forward) == leaf_tuples(new_data.forward)
-    assert leaf_tuples(old_data.backward) == leaf_tuples(new_data.backward)
+    data = ConstructionPipeline(source, 3.0, ell=2).index_data()
+    assert len(data.forward) > 0
+    assert data.forward._max_letter_code() + 1 >= 255
+    assert_explicit_data(data)
 
 
 def test_merge_carries_search_caches():

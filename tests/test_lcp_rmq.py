@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.strings.lcp import LCEIndex, lcp_array, lcp_of_strings
+from repro.strings.lcp import LCEIndex, _kasai, lcp_array, lcp_of_strings
 from repro.strings.rmq import SparseTableRMaxQ, SparseTableRMQ, report_at_least
 from repro.strings.suffix_array import suffix_array
 
@@ -48,6 +48,23 @@ class TestLCP:
 
     def test_lce_nbytes_positive(self):
         assert LCEIndex([0, 1, 2]).nbytes() > 0
+
+
+class TestKasai:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_naive_lcp(self, seed):
+        # The recurrence alone, over a suffix array sorted in plain Python.
+        rng = np.random.default_rng(seed)
+        text = rng.integers(0, 4, size=int(rng.integers(2, 80))).astype(np.int64)
+        sa = np.array(
+            sorted(range(len(text)), key=lambda s: tuple(text[s:])), dtype=np.int64
+        )
+        ranks = np.empty(len(text), dtype=np.int64)
+        ranks[sa] = np.arange(len(text))
+        lcp = np.zeros(len(text), dtype=np.int64)
+        _kasai(text, sa, ranks, lcp)
+        for rank in range(1, len(text)):
+            assert lcp[rank] == brute_lcp(text[sa[rank - 1] :], text[sa[rank] :])
 
 
 class TestRMQ:

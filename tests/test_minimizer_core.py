@@ -1,5 +1,6 @@
 """Tests for repro.indexes.minimizer_core (leaf collections, Lemma 5 sampling)."""
 
+import numpy as np
 import pytest
 
 from repro.core.heavy import HeavyString, max_mismatches
@@ -8,7 +9,7 @@ from repro.indexes.minimizer_core import (
     FactorLeaf,
     LeafCollection,
     build_index_data_from_estimation,
-    build_leaves_from_estimation,
+    build_leaf_arrays_from_estimation,
 )
 from repro.sampling.minimizers import MinimizerScheme
 
@@ -75,21 +76,23 @@ class TestEstimationSampling:
     def test_leaf_counts_match_pairs(self, paper_example, paper_estimation):
         scheme = MinimizerScheme(ell=3, sigma=2, k=2, order="lexicographic")
         heavy = HeavyString(paper_example)
-        forward, backward, pairs = build_leaves_from_estimation(
+        forward, backward = build_leaf_arrays_from_estimation(
             paper_example, 4, 3, scheme, paper_estimation, heavy
         )
-        assert len(forward) == len(backward) == len(pairs)
-        assert len(forward) > 0
+        assert len(forward) == len(backward) > 0
+        # Row i of both blocks is the leaf pair of one (q, j) label.
+        assert np.array_equal(forward.positions, backward.positions)
+        assert np.array_equal(forward.sources, backward.sources)
 
     def test_leaves_respect_lemma3(self, paper_example, paper_estimation):
         scheme = MinimizerScheme(ell=3, sigma=2, k=2)
         heavy = HeavyString(paper_example)
-        forward, backward, _ = build_leaves_from_estimation(
+        forward, backward = build_leaf_arrays_from_estimation(
             paper_example, 4, 3, scheme, paper_estimation, heavy
         )
         bound = max_mismatches(4)
-        assert all(leaf.mismatch_count() <= bound for leaf in forward)
-        assert all(leaf.mismatch_count() <= bound for leaf in backward)
+        assert all(forward.leaf(row).mismatch_count() <= bound for row in range(len(forward)))
+        assert all(backward.leaf(row).mismatch_count() <= bound for row in range(len(backward)))
 
     def test_forward_leaves_spell_valid_factors(self, paper_example, paper_data):
         # Every forward leaf is a solid factor of X starting at its minimizer.

@@ -57,6 +57,33 @@ class TestMinSegmentTree:
             for hi in range(lo, 7):
                 assert bulk.range_min(lo, hi) == stepwise.range_min(lo, hi)
 
+    def test_matches_min_over_list(self):
+        rng = random.Random(41)
+        sentinel = _MinSegmentTree._SENTINEL
+        for _ in range(60):
+            n = rng.randint(1, 48)
+            tree = _MinSegmentTree(n)
+            # Full-uint64 order halves: the packed keys exceed 64 bits.
+            keys = [
+                sentinel if rng.random() < 0.3
+                else (rng.getrandbits(64) << 32) | rng.randrange(2**31)
+                for _ in range(n)
+            ]
+            tree.bulk_fill(keys)
+            for _ in range(25):
+                if rng.random() < 0.5:
+                    position = rng.randrange(n)
+                    if rng.random() < 0.25:
+                        tree.clear(position)
+                        keys[position] = sentinel
+                    else:
+                        key = (rng.getrandbits(64) << 32) | rng.randrange(2**31)
+                        tree.set(position, key)
+                        keys[position] = key
+                lo = rng.randint(0, n)
+                hi = rng.randint(lo, n)
+                assert tree.range_min(lo, hi) == min(keys[lo:hi], default=sentinel)
+
 
 class TestSpaceEfficientData:
     def test_counters_and_no_pairs(self, small_genomic_string):

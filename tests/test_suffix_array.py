@@ -1,5 +1,7 @@
 """Tests for repro.strings.suffix_array."""
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,6 +45,37 @@ class TestSuffixArray:
     def test_large_codes_are_supported(self):
         codes = [10_000, 5, 99_999, 5, 10_000]
         assert list(suffix_array(codes)) == brute_suffix_array(codes)
+
+
+class TestAgainstBruteForce:
+    @pytest.mark.parametrize("sigma", [1, 2, 4, 26, 255, 1000])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_texts(self, sigma, seed):
+        rng = np.random.default_rng(1000 * sigma + seed)
+        for length in (1, 2, 3, 7, 50, 300):
+            codes = rng.integers(0, sigma, size=length).tolist()
+            assert suffix_array(codes).tolist() == brute_suffix_array(codes)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_against_naive(self, seed):
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(0, 3, size=int(rng.integers(1, 60))).tolist()
+        assert suffix_array(codes).tolist() == brute_suffix_array(codes)
+
+    def test_edge_cases(self):
+        for codes in ([], [5], [0, 0, 0, 0], [3, 2, 1, 0], [0, 1, 2, 3], [7] * 40):
+            assert suffix_array(codes).tolist() == brute_suffix_array(codes)
+
+    def test_large_sparse_codes(self):
+        # Rank compression must handle huge, sparse letter codes.
+        codes = np.random.default_rng(9).integers(0, 10**9, size=200).tolist()
+        assert suffix_array(codes).tolist() == brute_suffix_array(codes)
+
+    def test_periodic_texts(self):
+        # Highly periodic strings need the most doubling rounds.
+        for period in ([0, 1], [0, 0, 1], [1, 0, 0, 1], [2, 1, 0]):
+            codes = period * 40
+            assert suffix_array(codes).tolist() == brute_suffix_array(codes)
 
 
 class TestPatternInterval:
