@@ -8,8 +8,7 @@ sparse-uncertainty dataset; the timed payloads are
 * ``per-pattern`` — the old query loop, ``[index.locate(p) for p in batch]``;
 * ``batch``       — one ``index.match_many(batch)`` call.
 
-Run under pytest-benchmark (``pytest benchmarks/ --benchmark-only``) or
-standalone with tiny parameters for CI smoke tests::
+Run standalone; CI uses tiny parameters as a smoke test::
 
     python benchmarks/bench_batch_query_throughput.py --length 600 --patterns 100
 """
@@ -24,8 +23,6 @@ from pathlib import Path
 SOURCE_ROOT = Path(__file__).resolve().parent.parent / "src"
 if str(SOURCE_ROOT) not in sys.path:  # allow running without installation
     sys.path.insert(0, str(SOURCE_ROOT))
-
-import pytest
 
 from repro.core.estimation import build_z_estimation
 from repro.datasets.patterns import sample_random_patterns, sample_valid_patterns
@@ -59,31 +56,6 @@ def run_per_pattern(index, patterns):
 
 def run_batch(index, patterns):
     return index.match_many(patterns)
-
-
-@pytest.fixture(scope="module")
-def batch_workload():
-    return make_workload(DEFAULT_LENGTH, DEFAULT_PATTERNS, DEFAULT_Z, DEFAULT_ELL)
-
-
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("mode", ("per-pattern", "batch"))
-def test_batch_query_throughput(benchmark, batch_workload, kind, mode):
-    source, estimation, patterns = batch_workload
-    index = build_index(
-        source, DEFAULT_Z, kind=kind, ell=DEFAULT_ELL, estimation=estimation
-    )
-    payload = run_per_pattern if mode == "per-pattern" else run_batch
-
-    results = benchmark(payload, index, patterns)
-
-    benchmark.extra_info["kind"] = kind
-    benchmark.extra_info["mode"] = mode
-    benchmark.extra_info["patterns"] = len(patterns)
-    benchmark.extra_info["patterns_per_second"] = round(
-        len(patterns) / benchmark.stats["mean"], 1
-    )
-    assert len(results) == len(patterns)
 
 
 def main(argv=None) -> int:

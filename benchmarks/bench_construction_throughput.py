@@ -10,7 +10,7 @@ reloaded and must still answer it the same way.
 Timings are recorded twice: in seconds, and divided by the best-of time of
 a short fixed calibration loop (mixed Python and numpy, recorded in the
 report) run on the same host just before the builds.  The normalised build
-time is what ``check_construction_regression.py`` compares against the
+time is what ``check_regression.py construction`` compares against the
 committed snapshot, so a slower or faster machine does not read as a
 regression or a gain.  A reload that re-derived its tries or grid would
 show as a low build/load ratio.
@@ -18,8 +18,7 @@ show as a low build/load ratio.
 Peak construction memory is measured per build with ``tracemalloc`` in a
 separate untimed pass.  The garbage collector runs before every timed build
 and load, so a collection triggered by an earlier step does not land inside
-a short timed load.  Run under pytest-benchmark
-(``pytest benchmarks/ --benchmark-only``) or standalone::
+a short timed load.  Run standalone::
 
     python benchmarks/bench_construction_throughput.py --length 20000
 """
@@ -41,7 +40,6 @@ if str(SOURCE_ROOT) not in sys.path:  # allow running without installation
     sys.path.insert(0, str(SOURCE_ROOT))
 
 import numpy as np
-import pytest
 
 from repro.bench.measure import peak_rss_bytes
 from repro.datasets.patterns import sample_random_patterns, sample_valid_patterns
@@ -115,24 +113,6 @@ def traced_peak_mb(builder) -> float:
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     return peak / 1e6
-
-
-# --------------------------------------------------------------------------- #
-# pytest-benchmark entry points (tiny workload)                                #
-# --------------------------------------------------------------------------- #
-@pytest.fixture(scope="module")
-def construction_workload():
-    return make_workload(4_000, 30, DEFAULT_Z, DEFAULT_ELL)
-
-
-@pytest.mark.parametrize("kind", ["MWSA", "MWST", "MWSA-G", "MWST-SE"])
-def test_construction(benchmark, construction_workload, kind):
-    source, _ = construction_workload
-    index = benchmark(lambda: build_variant(source, DEFAULT_Z, DEFAULT_ELL, kind))
-    benchmark.extra_info["kind"] = kind
-    benchmark.extra_info["index_size_mb"] = round(
-        index.stats.index_size_bytes / 1e6, 4
-    )
 
 
 # --------------------------------------------------------------------------- #

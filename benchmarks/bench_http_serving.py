@@ -44,8 +44,6 @@ SOURCE_ROOT = Path(__file__).resolve().parent.parent / "src"
 if str(SOURCE_ROOT) not in sys.path:  # allow running without installation
     sys.path.insert(0, str(SOURCE_ROOT))
 
-import pytest
-
 from repro.datasets.patterns import (
     sample_random_patterns,
     sample_valid_patterns,
@@ -392,7 +390,7 @@ def durability_section(index, repeats: int = 5) -> dict:
     Saves the benchmark index to a throwaway store and times full RAM
     reloads with array verification disabled and enabled (best of
     ``repeats``, interleaved so cache state is comparable).  The overhead
-    ratio feeds the regression gate in ``check_serving_regression.py``.
+    ratio feeds the regression gate in ``check_regression.py serving``.
     """
     from repro.io.store import load_index, save_index
 
@@ -415,37 +413,6 @@ def durability_section(index, repeats: int = 5) -> dict:
         "reload_seconds_verify_on": on,
         "verify_overhead_ratio": (on - off) / off if off > 0 else 0.0,
     }
-
-
-@pytest.fixture(scope="module")
-def http_workload():
-    source, pool, stream = make_workload(
-        DEFAULT_LENGTH, DEFAULT_UNIQUE, 400, DEFAULT_Z, DEFAULT_ELL,
-        DEFAULT_ZIPF_S,
-    )
-    index = build_index(source, DEFAULT_Z, kind=DEFAULT_KIND, ell=DEFAULT_ELL)
-    return index, stream
-
-
-@pytest.mark.parametrize("batching", (False, True))
-def test_http_serving_throughput(benchmark, http_workload, batching):
-    index, stream = http_workload
-
-    def payload():
-        return asyncio.run(
-            closed_loop(index, stream, 8, batching=batching,
-                        window=DEFAULT_WINDOW_MS / 1e3, max_batch=DEFAULT_MAX_BATCH)
-        )
-
-    row = benchmark.pedantic(payload, rounds=1, iterations=1)
-    assert row["errors"] == 0
-    if batching:
-        assert row["largest_batch"] > 1
-    benchmark.extra_info.update(
-        {key: row[key] for key in
-         ("batching", "requests_per_second", "p50_ms", "p99_ms",
-          "mean_batch_size", "largest_batch")}
-    )
 
 
 def main(argv=None) -> int:

@@ -11,8 +11,7 @@ timed payloads answer every request through a
 
 The standalone runner verifies that both configurations answer identically,
 that the cache hit rate is positive, and that the cached run is faster on
-the skewed mix.  Run under pytest-benchmark (``pytest benchmarks/
---benchmark-only``) or standalone with tiny parameters for CI smoke tests::
+the skewed mix.  Run standalone; CI uses tiny parameters as a smoke test::
 
     python benchmarks/bench_query_service.py --length 600 --requests 300
 """
@@ -28,8 +27,6 @@ from pathlib import Path
 SOURCE_ROOT = Path(__file__).resolve().parent.parent / "src"
 if str(SOURCE_ROOT) not in sys.path:  # allow running without installation
     sys.path.insert(0, str(SOURCE_ROOT))
-
-import pytest
 
 from repro.datasets.patterns import (
     sample_random_patterns,
@@ -62,41 +59,6 @@ def make_workload(length: int, unique: int, requests: int, z: float, ell: int,
 
 def run_stream(service: QueryService, requests) -> list:
     return [service.query(pattern) for pattern in requests]
-
-
-@pytest.fixture(scope="module")
-def serve_workload():
-    source, pool, stream = make_workload(
-        DEFAULT_LENGTH, DEFAULT_UNIQUE, DEFAULT_REQUESTS, DEFAULT_Z, DEFAULT_ELL,
-        DEFAULT_ZIPF_S,
-    )
-    index = build_index(source, DEFAULT_Z, kind=DEFAULT_KIND, ell=DEFAULT_ELL)
-    return index, pool, stream
-
-
-@pytest.mark.parametrize("cache", ("off", "on"))
-def test_query_service_throughput(benchmark, serve_workload, cache):
-    index, pool, stream = serve_workload
-
-    def payload():
-        service = QueryService(
-            index, cache_size=2 * len(pool), cache_enabled=(cache == "on")
-        )
-        run_stream(service, stream)
-        return service
-
-    service = benchmark(payload)
-
-    stats = service.stats()
-    benchmark.extra_info["cache"] = cache
-    benchmark.extra_info["requests"] = len(stream)
-    benchmark.extra_info["unique_patterns"] = len(pool)
-    benchmark.extra_info["hit_rate"] = round(stats["hit_rate"], 4)
-    benchmark.extra_info["queries_per_second"] = round(
-        len(stream) / benchmark.stats["mean"], 1
-    )
-    if cache == "on":
-        assert stats["hit_rate"] > 0.0
 
 
 def main(argv=None) -> int:

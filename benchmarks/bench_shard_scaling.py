@@ -14,8 +14,7 @@ are
 The standalone runner verifies that sharded, monolithic and store-reloaded
 indexes answer an identical pattern batch identically, and — on machines
 with at least 4 cores — that the parallel build beats the single-shard build
-wall-clock.  Run under pytest-benchmark (``pytest benchmarks/
---benchmark-only``) or standalone with tiny parameters for CI smoke tests::
+wall-clock.  Run standalone; CI uses tiny parameters as a smoke test::
 
     python benchmarks/bench_shard_scaling.py --length 4000 --shards 4 --workers 2
 """
@@ -32,8 +31,6 @@ from pathlib import Path
 SOURCE_ROOT = Path(__file__).resolve().parent.parent / "src"
 if str(SOURCE_ROOT) not in sys.path:  # allow running without installation
     sys.path.insert(0, str(SOURCE_ROOT))
-
-import pytest
 
 from repro.datasets.patterns import sample_random_patterns, sample_valid_patterns
 from repro.datasets.synthetic import sparse_uncertainty_string
@@ -58,30 +55,6 @@ def make_workload(length: int, pattern_count: int, z: float, ell: int):
         source, m=ell, count=pattern_count - valid_count, seed=2
     )
     return source, patterns
-
-
-@pytest.fixture(scope="module")
-def shard_workload():
-    return make_workload(4_000, 50, DEFAULT_Z, DEFAULT_ELL)
-
-
-@pytest.mark.parametrize("shards,workers", [(1, 1), (4, 1), (4, 2)])
-def test_shard_build_scaling(benchmark, shard_workload, shards, workers):
-    source, patterns = shard_workload
-
-    index = benchmark(
-        build_index,
-        source,
-        DEFAULT_Z,
-        kind=DEFAULT_KIND,
-        ell=DEFAULT_ELL,
-        shards=shards,
-        workers=workers,
-    )
-
-    benchmark.extra_info["shards"] = shards
-    benchmark.extra_info["workers"] = workers
-    assert len(index.match_many(patterns)) == len(patterns)
 
 
 def main(argv=None) -> int:

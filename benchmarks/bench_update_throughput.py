@@ -17,9 +17,7 @@ checks agreement).  The bar had been recalibrated down to 3x when the
 array-backed construction fast path made the rebuild denominator ~8x
 faster; checkpointed z-estimation replay plus the batched leaf-merge tie
 resolution brought the localized path back over 5x against that faster
-baseline.
-Run under pytest-benchmark (``pytest benchmarks/ --benchmark-only``) or
-standalone::
+baseline.  Run standalone::
 
     python benchmarks/bench_update_throughput.py --length 20000 --updates 5
 """
@@ -38,7 +36,6 @@ if str(SOURCE_ROOT) not in sys.path:  # allow running without installation
     sys.path.insert(0, str(SOURCE_ROOT))
 
 import numpy as np
-import pytest
 
 from repro.datasets.patterns import sample_random_patterns, sample_valid_patterns
 from repro.datasets.synthetic import sparse_uncertainty_string
@@ -74,36 +71,6 @@ def random_update(source, rng):
     row = np.asarray(source.matrix[position]).copy()
     row[int(rng.integers(source.sigma))] += 0.6
     return position, row / row.sum()
-
-
-# --------------------------------------------------------------------------- #
-# pytest-benchmark entry points (tiny workload)                                #
-# --------------------------------------------------------------------------- #
-@pytest.fixture(scope="module")
-def update_workload():
-    source, patterns = make_workload(4_000, 50, DEFAULT_Z, DEFAULT_ELL)
-    return source, patterns
-
-
-@pytest.mark.parametrize("path", ["monolith", "sharded"])
-def test_update_requery(benchmark, update_workload, path):
-    source, patterns = update_workload
-    if path == "monolith":
-        index = build_index(source, DEFAULT_Z, kind=DEFAULT_KIND, ell=DEFAULT_ELL)
-    else:
-        index = build_index(
-            source, DEFAULT_Z, kind=DEFAULT_KIND, ell=DEFAULT_ELL,
-            shards=8, max_pattern_len=2 * DEFAULT_ELL,
-        )
-    rng = np.random.default_rng(7)
-
-    def update_and_requery():
-        position, row = random_update(source, rng)
-        index.apply_updates([(position, row)])
-        return index.match_many(patterns)
-
-    benchmark(update_and_requery)
-    benchmark.extra_info["path"] = path
 
 
 # --------------------------------------------------------------------------- #

@@ -3,13 +3,11 @@
 
 Thin wrapper over ``python -m repro.bench`` kept as an example entry point:
 
-    python examples/reproduce_paper.py --scale tiny          # seconds
-    python examples/reproduce_paper.py --scale small         # minutes
+    python examples/reproduce_paper.py --scale tiny          # a minute or two
+    python examples/reproduce_paper.py --scale small         # longer
     python examples/reproduce_paper.py --scale paper         # full parameters
 
-The output prints one text table per figure/series; EXPERIMENTS.md records a
-captured run together with the comparison against the paper's reported
-numbers.
+The output prints one text table per figure/series.
 """
 
 from __future__ import annotations

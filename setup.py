@@ -1,10 +1,26 @@
-"""Legacy setup shim.
+"""Package metadata: ``pip install -e .`` installs ``repro`` and its CLI.
 
-Kept so that ``pip install -e .`` works on offline machines where the
-``wheel`` package (needed by the PEP 517 build path) is unavailable; all
-project metadata lives in ``pyproject.toml`` / ``setup.cfg``.
+A plain ``setup.py`` rather than a ``pyproject.toml`` build, so that the
+editable install also works on offline machines without the ``wheel``
+package, which the PEP 517 build path needs.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+VERSION_FILE = Path(__file__).resolve().parent / "src" / "repro" / "version.py"
+VERSION = re.search(
+    r'__version__ = "([^"]+)"', VERSION_FILE.read_text(encoding="utf-8")
+).group(1)
+
+setup(
+    name="repro-uncertain",
+    version=VERSION,
+    description="Space-efficient indexes for uncertain strings",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+    entry_points={"console_scripts": ["repro-uncertain = repro.cli:main"]},
+)

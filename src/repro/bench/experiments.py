@@ -3,13 +3,14 @@
 Every function returns an :class:`ExperimentResult` whose ``rows`` are flat
 dictionaries (one per data point) and whose ``text`` renders the same series
 the paper plots.  The sweep values come from a :class:`BenchScale`, so the
-same code runs in CI (``tiny``), on a laptop (``small``) or at the paper's
-parameters (``paper``).
+same code runs in a minute or two (``tiny``), on a laptop (``small``) or at
+the paper's parameters (``paper``).
 
-Expected qualitative outcomes (checked against the paper in
-``EXPERIMENTS.md``): the minimizer indexes are 1–2 orders of magnitude
-smaller than WST/WSA and shrink as ℓ grows; arrays beat trees; MWST-SE needs
-by far the least construction space; MWSA queries are competitive with WSA.
+Expected qualitative outcomes, as the paper reports them: the minimizer
+indexes are 1–2 orders of magnitude smaller than WST/WSA and shrink as ℓ
+grows; arrays beat trees; MWST-SE needs by far the least construction space;
+MWSA queries are competitive with WSA.  ``tests/test_experiments_micro.py``
+checks the claims that already hold at a micro scale on the rows.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from ..core.estimation import build_z_estimation
 from ..datasets.registry import DATASETS, dataset_characteristics
 from ..datasets.rssi import rssi_family, rssi_like
 from ..indexes.space import DEFAULT_SPACE_MODEL
+from ..sampling.minimizers import MinimizerScheme, default_k
 from .harness import ARRAY_KINDS, SCALES, SE_KINDS, TREE_KINDS, BenchScale, build_index_suite, query_workload, sweep_rows
 from .measure import timed
 from .report import format_series, format_table
@@ -40,6 +42,7 @@ __all__ = [
     "fig16",
     "shardscale",
     "servemix",
+    "ablation",
     "ALL_EXPERIMENTS",
     "run_all",
 ]
@@ -610,6 +613,54 @@ def servemix(scale="tiny") -> ExperimentResult:
     )
 
 
+# --------------------------------------------------------------------------- #
+# Minimizer order and k-mer length ablation (not a paper figure)                #
+# --------------------------------------------------------------------------- #
+def ablation(scale="tiny") -> ExperimentResult:
+    """MWSA under both minimizer orders and three k-mer lengths (EFM).
+
+    Not a paper figure: the paper samples minimizers with Karp–Rabin
+    fingerprints, and its Section 8 notes that a lexicographic order can
+    degenerate (on ``abcdef...`` every position is selected).  Each row
+    builds MWSA under one order × k combination, k around the Lemma 1
+    default, and reports the sampled leaves and the index size.  The order
+    changes the sample, never the answers: each row records whether a
+    sampled query workload answers as it does under the random order at
+    the same k.
+    """
+    scale = _resolve_scale(scale)
+    source = scale.dataset("EFM")
+    z = scale.default_z("EFM")
+    ell = scale.default_ell
+    patterns = query_workload(source, z, m=ell, count=scale.pattern_count, seed=9)
+    lemma_k = default_k(ell, source.sigma)
+    rows = []
+    for k in sorted({max(2, min(ell, lemma_k + offset)) for offset in (-1, 0, 2)}):
+        random_answers = None
+        for order in ("random", "lexicographic"):
+            scheme = MinimizerScheme(ell, source.sigma, k=k, order=order)
+            measurement = build_index_suite(source, z, ell, ("MWSA",), scheme=scheme)["MWSA"]
+            answers = [measurement.index.locate(pattern) for pattern in patterns]
+            if random_answers is None:
+                random_answers = answers
+            counters = measurement.index.stats.counters
+            row = {"dataset": "EFM", "ell": ell, "z": z, "order": order, "k": k,
+                   "lemma1_k": lemma_k}
+            row.update(measurement.as_row())
+            row["forward_leaves"] = counters["forward_leaves"]
+            row["backward_leaves"] = counters["backward_leaves"]
+            row["matches_random_order"] = answers == random_answers
+            rows.append(row)
+    text = "Ablation — minimizer order and k (MWSA, EFM)\n" + format_table(
+        rows,
+        ["order", "k", "forward_leaves", "backward_leaves", "index_size_mb",
+         "construction_seconds", "matches_random_order"],
+    )
+    return ExperimentResult(
+        "ablation", "Minimizer order and k-mer length ablation", rows, text
+    )
+
+
 #: All experiments in paper order.
 ALL_EXPERIMENTS = {
     "table2": table2,
@@ -626,6 +677,7 @@ ALL_EXPERIMENTS = {
     "fig16": fig16,
     "shardscale": shardscale,
     "servemix": servemix,
+    "ablation": ablation,
 }
 
 

@@ -5,7 +5,8 @@ or n) over a set of indexes on a dataset, reporting one of the four
 efficiency measures.  :class:`BenchScale` centralises the sweep values so
 the same experiment code runs at three sizes:
 
-* ``tiny``  — seconds; used by ``pytest benchmarks/`` in CI;
+* ``tiny``  — a minute or two for the whole suite
+  (``python -m repro.bench --scale tiny``);
 * ``small`` — minutes; the default of ``examples/reproduce_paper.py``;
 * ``paper`` — the paper's parameter values (requires the full-length
   datasets and a lot of patience in pure Python).
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from ..core.weighted_string import WeightedString
 from ..datasets.patterns import sample_valid_patterns
 from ..datasets.registry import load_dataset
-from ..indexes import ConstructionPipeline, get_spec
+from ..indexes import build_index, get_spec
 from ..sampling.minimizers import MinimizerScheme
 from .measure import BuildMeasurement, measure_build, measure_query_time
 
@@ -144,30 +145,25 @@ def build_index_suite(
     scheme: MinimizerScheme | None = None,
     trace_memory: bool = False,
 ) -> dict[str, BuildMeasurement]:
-    """Build a set of index kinds on one input, sharing what can be shared.
+    """Build a set of index kinds on one input, each one from scratch.
 
-    Construction goes through the staged
-    :class:`~repro.indexes.registry.ConstructionPipeline`: the z-estimation
-    is shared between the baselines and the explicit minimizer constructions
-    (so their query answers are computed on identical samples) and the
-    minimizer index data is shared between the MWST/MWSA/-G variants.  The
-    shared stages are warmed *before* the per-variant timers start, so each
-    measurement covers only that variant's assembly — matching how the paper
-    reports per-index construction cost.  MWST-SE always rebuilds from
-    scratch — not sharing is precisely its point.
+    Every kind runs its whole construction — z-estimation, leaves, sort,
+    tries, grid — inside its own timer and memory trace, as the paper times
+    construction.  Only the minimizer ``scheme`` is shared, so the minimizer
+    kinds sample the same minimizers.  Each measurement carries the
+    :mod:`repro.timing` stage seconds of its own build, so the stages every
+    explicit construction repeats (the estimation above all) stay visible
+    in their own columns.
     """
     if scheme is None:
         scheme = MinimizerScheme(ell, source.sigma)
-    pipeline = ConstructionPipeline(source, z, ell=ell, scheme=scheme)
-    specs = [get_spec(kind) for kind in kinds]
-    if any(spec.shares_estimation for spec in specs):
-        pipeline.estimation()
-    if any(spec.shares_data for spec in specs):
-        pipeline.index_data()
     measurements = {}
     for kind in kinds:
+        options = {"ell": ell, "scheme": scheme} if get_spec(kind).needs_ell else {}
         measurements[kind] = measure_build(
-            lambda kind=kind: pipeline.build(kind), kind, trace_memory=trace_memory
+            lambda kind=kind, options=options: build_index(source, z, kind=kind, **options),
+            kind,
+            trace_memory=trace_memory,
         )
     return measurements
 

@@ -3,7 +3,8 @@
 * index size        — the space model bytes reported by each index;
 * construction space — the space model peak recorded at build time
                         (optionally cross-checked with ``tracemalloc``);
-* construction time — wall-clock seconds of the build;
+* construction time — wall-clock seconds of the build, split into the
+                        :mod:`repro.timing` stages it ran;
 * query time        — average microseconds per pattern over a workload.
 """
 
@@ -13,7 +14,9 @@ import sys
 import time
 import tracemalloc
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+from ..timing import collect_stages
 
 __all__ = [
     "BuildMeasurement",
@@ -110,15 +113,20 @@ class BuildMeasurement:
     #: is a process-lifetime maximum, so only the delta is attributable to
     #: one build; 0 means an earlier allocation already peaked higher).
     rss_peak_delta_bytes: int | None = None
+    #: Seconds of each :mod:`repro.timing` stage this build ran (estimation,
+    #: sa, trie, grid); ``seconds`` also covers the untimed glue between them.
+    stages: dict = field(default_factory=dict)
 
     def as_row(self) -> dict:
-        """Flat dictionary row used by the reports."""
+        """Flat dictionary row used by the reports (one column per stage)."""
         row = {
             "index": self.name,
             "construction_seconds": self.seconds,
             "index_size_mb": self.index_size_bytes / 1e6,
             "construction_space_mb": self.construction_space_bytes / 1e6,
         }
+        for stage, seconds in self.stages.items():
+            row[f"{stage}_seconds"] = seconds
         if self.tracemalloc_peak_bytes is not None:
             row["tracemalloc_peak_mb"] = self.tracemalloc_peak_bytes / 1e6
         if self.rss_peak_delta_bytes is not None:
@@ -142,14 +150,17 @@ def measure_build(
     attributable to one build; ``None`` when the platform exposes no RSS);
     ``trace_memory`` additionally runs the build under ``tracemalloc`` for
     exact per-build Python-side peaks — the measured companions of the
-    space-model accounting behind Figs. 8–9 and 13–14.
+    space-model accounting behind Figs. 8–9 and 13–14.  The stage timers
+    are drained before the build, so ``stages`` covers this build only.
     """
     rss_before = peak_rss_bytes()
+    collect_stages()
     if trace_memory:
         tracemalloc.start()
     started = time.perf_counter()
     index = builder()
     seconds = time.perf_counter() - started
+    stages = collect_stages()
     peak = None
     if trace_memory:
         _, peak = tracemalloc.get_traced_memory()
@@ -171,6 +182,7 @@ def measure_build(
         construction_space_bytes=construction_space,
         tracemalloc_peak_bytes=peak,
         rss_peak_delta_bytes=rss_delta,
+        stages=stages,
     )
 
 

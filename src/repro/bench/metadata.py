@@ -3,12 +3,8 @@
 Benchmark trajectories (``BENCH_*.json``) are only comparable across
 machines and commits when every result records where it came from.
 :func:`run_metadata` gathers the identifying facts — git commit, Python and
-NumPy versions, platform and core count — and is wired into
-
-* the pytest-benchmark ``machine_info`` of every ``pytest benchmarks/`` run
-  (see ``benchmarks/conftest.py``), and
-* the ``--json`` output of ``python -m repro.bench`` and of the standalone
-  benchmark runners.
+NumPy versions, platform and core count — and is stamped onto the ``--json``
+output of ``python -m repro.bench`` and of the standalone benchmark runners.
 """
 
 from __future__ import annotations

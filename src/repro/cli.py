@@ -15,11 +15,11 @@ Installed as the ``repro-uncertain`` console script.  Ten sub-commands:
   throughput alongside the results;
 * ``update``      — apply point or ranged updates (new per-position
   distributions, or ``{"start", "rows"}`` spans) to a stored index and
-  persist the repair; directory stores rewrite only the dirty shards and
-  append each batch to the store's ``update-log.jsonl``;
+  persist the repair; directory stores commit each batch to the store's
+  write-ahead log, then rewrite only the dirty shards;
 * ``compact``     — fold an updated directory store back to canonical
-  generation-0 shard files (drops superseded ``.gN`` files, truncates the
-  update log; query answers stay byte-identical); refuses to run on a
+  generation-0 shard files (drops superseded ``.gN`` files and the
+  write-ahead log; query answers stay byte-identical); refuses to run on a
   store that fails verification — run ``recover`` first;
 * ``verify-store`` — audit a store file or directory without modifying it:
   container and per-array checksums, torn write-ahead-log tails, committed
@@ -42,7 +42,8 @@ Installed as the ``repro-uncertain`` console script.  Ten sub-commands:
 ``--json`` on the query sub-commands switches to a stable machine-readable
 schema (positions, probabilities, timing, planner statistics); ``build
 --json`` emits the ``repro.build.v1`` schema with the construction
-wall-time and measured peak memory (tracemalloc + RSS).  Exit codes:
+wall-time, its per-stage seconds and measured peak memory (tracemalloc +
+RSS).  Exit codes:
 0 on success, 2 for malformed patterns (:class:`~repro.errors.PatternError`),
 1 for every other usage error.
 
@@ -67,7 +68,6 @@ from .errors import PatternError, ReproError
 from .indexes import INDEX_CLASSES, Query, QueryMode, QueryPlanner, build_index
 from .io.pwm import read_pwm
 from .io.store import (
-    append_update_log,
     apply_updates_durably,
     compact_store,
     load_index,
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     compact = subparsers.add_parser(
         "compact",
         help="fold a sharded directory store back to canonical shard files "
-        "(drops generation-stamped files, truncates the update log)",
+        "(drops generation-stamped files and the write-ahead log)",
     )
     compact.add_argument(
         "--store", required=True, help="sharded store directory to compact"
@@ -534,16 +534,6 @@ def _command_update(arguments) -> dict:
         report = update_report.as_dict()
         report["store"] = outcome
         report["store"]["path"] = arguments.store
-        append_update_log(
-            arguments.store,
-            {
-                "time": time.time(),
-                "positions": report["positions"],
-                "strategy": report["strategy"],
-                "generations": index.generations,
-                "rewritten": report["store"]["rewritten"],
-            },
-        )
     else:
         report = index.apply_updates(updates).as_dict()
         target = arguments.out or arguments.store

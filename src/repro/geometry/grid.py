@@ -20,8 +20,8 @@ Two backends are provided:
 * :class:`BruteForceGrid` — a linear scan used as a test oracle and for
   very small point sets.
 
-:class:`Grid2D` is the façade the indexes use; it picks the backend and
-exposes uniform ``report``/``count`` methods.
+:class:`Grid2D` is the façade the indexes use; it picks the backend from
+the point count and exposes uniform ``report``/``count`` methods.
 """
 
 from __future__ import annotations
@@ -199,42 +199,23 @@ class RangeTree2D:
 class Grid2D:
     """Façade over the range-reporting backends used by the grid indexes."""
 
-    #: Below this many points a linear scan is faster than any structure
-    #: (default; overridable per index via ``brute_force_limit``).
+    #: Up to this many points a linear scan is faster than any structure.
     BRUTE_FORCE_LIMIT = 64
 
-    def __init__(
-        self,
-        points: Sequence[Point],
-        backend: str = "auto",
-        *,
-        brute_force_limit: int | None = None,
-    ) -> None:
+    def __init__(self, points: Sequence[Point]) -> None:
         points = list(points)
-        limit = self.BRUTE_FORCE_LIMIT if brute_force_limit is None else int(brute_force_limit)
-        self._brute_force_limit = limit
-        if backend == "brute" or (backend == "auto" and len(points) <= limit):
+        if len(points) <= self.BRUTE_FORCE_LIMIT:
             self._backend = BruteForceGrid(points)
-        elif backend in {"auto", "range_tree"}:
-            self._backend = RangeTree2D(points)
         else:
-            raise ValueError(f"unknown grid backend {backend!r}")
+            self._backend = RangeTree2D(points)
         self._count = len(points)
 
     @classmethod
     def from_arrays(
-        cls,
-        points: np.ndarray,
-        level_ys: np.ndarray,
-        level_idx: np.ndarray,
-        *,
-        brute_force_limit: int | None = None,
+        cls, points: np.ndarray, level_ys: np.ndarray, level_idx: np.ndarray
     ) -> Grid2D:
         """Rehydrate a range-tree-backed façade from persisted arrays."""
         grid = cls.__new__(cls)
-        grid._brute_force_limit = (
-            cls.BRUTE_FORCE_LIMIT if brute_force_limit is None else int(brute_force_limit)
-        )
         grid._backend = RangeTree2D.from_arrays(points, level_ys, level_idx)
         grid._count = len(grid._backend)
         return grid
@@ -243,11 +224,6 @@ class Grid2D:
     def backend_name(self) -> str:
         """``"brute"`` or ``"range_tree"``."""
         return "brute" if isinstance(self._backend, BruteForceGrid) else "range_tree"
-
-    @property
-    def brute_force_limit(self) -> int:
-        """The backend-selection threshold this façade was built with."""
-        return self._brute_force_limit
 
     def __len__(self) -> int:
         return self._count

@@ -18,7 +18,7 @@ SHARDED      Any of the above, built per overlapping chunk in parallel and
 ===========  ===============================================================
 
 Construction goes through the central factory in :mod:`.registry`
-(:func:`build_index`, :class:`ConstructionPipeline`); built indexes persist
+(:func:`build_index`); built indexes persist
 through the binary store in :mod:`repro.io.store`.  Every query — any mode
 (``exists`` / ``count`` / ``locate`` / ``locate_probs`` / ``topk``), scalar
 or batched, on any variant — executes through the unified planner in
@@ -53,7 +53,6 @@ from .query import ExecutionPlan, Query, QueryMode, QueryPlanner, QueryResult
 from .registry import (
     INDEX_CLASSES,
     REGISTRY,
-    ConstructionPipeline,
     IndexSpec,
     available_kinds,
     build_index,
@@ -119,7 +118,6 @@ __all__ = [
     "INDEX_CLASSES",
     "REGISTRY",
     "IndexSpec",
-    "ConstructionPipeline",
     "register_index",
     "get_spec",
     "available_kinds",

@@ -60,9 +60,6 @@ class MinimizerIndexBase(UncertainStringIndex):
         self._data = data
         self._stats = stats
         self._grid = grid
-        self._grid_brute_force_limit: int | None = (
-            grid.brute_force_limit if grid is not None else None
-        )
         self._forward_trie = None
         self._backward_trie = None
         if self.use_trie:
@@ -81,15 +78,12 @@ class MinimizerIndexBase(UncertainStringIndex):
         estimation: ZEstimation | None = None,
         data: MinimizerIndexData | None = None,
         space_model: SpaceModel = DEFAULT_SPACE_MODEL,
-        grid_brute_force_limit: int | None = None,
     ) -> "MinimizerIndexBase":
         """Build the index through the explicit z-estimation path (Lemma 5).
 
         A pre-built :class:`MinimizerIndexData` (or z-estimation) may be
-        shared across variants; the benchmark harness relies on this to
-        compare the variants on identical samples.
-        ``grid_brute_force_limit`` overrides the grid's backend-selection
-        threshold (grid variants only; ignored elsewhere).
+        shared across variants, so they index identical samples without
+        repeating the shared stages.
         """
         started = time.perf_counter()
         tracker = ConstructionTracker()
@@ -116,7 +110,7 @@ class MinimizerIndexBase(UncertainStringIndex):
                     "grid variants need the leaf pairing; build the index data "
                     "with keep_pairs=True (the estimation path does by default)"
                 )
-            grid = Grid2D(data.pairs, brute_force_limit=grid_brute_force_limit)
+            grid = Grid2D(data.pairs)
             tracker.allocate(space_model.words(4 * len(data.pairs)))
         index_size = data.size_bytes(
             space_model, as_tree=cls.use_trie, with_grid=cls.use_grid
@@ -152,11 +146,7 @@ class MinimizerIndexBase(UncertainStringIndex):
         if self.use_trie:
             self._forward_trie = data.forward.build_trie()
             self._backward_trie = data.backward.build_trie()
-        self._grid = (
-            Grid2D(data.pairs, brute_force_limit=self._grid_brute_force_limit)
-            if self.use_grid
-            else None
-        )
+        self._grid = Grid2D(data.pairs) if self.use_grid else None
         self._stats.index_size_bytes = data.size_bytes(
             as_tree=self.use_trie, with_grid=self.use_grid
         )

@@ -1,20 +1,12 @@
-"""Central index factory and the staged construction pipeline.
+"""Central index factory.
 
 Every index variant of the library is registered here as an
 :class:`IndexSpec`; the CLI, the benchmark harness, the examples and the
-sharded builder all construct indexes through :func:`build_index` (or a
-:class:`ConstructionPipeline`) instead of calling scattered ``build``
-classmethods directly.  The registry records what each variant needs so the
-pipeline can share the expensive construction stages:
-
-* **estimation** — the Θ(nz) z-estimation (shared by the baselines and the
-  explicit minimizer constructions, so they index identical samples);
-* **index data** — the sorted minimizer leaf collections (shared by the
-  MWST / MWSA / grid variants);
-* **assembly** — the per-variant final build (tries, grids, statistics).
-
-``MWST-SE`` deliberately shares nothing: never materialising the
-z-estimation is its contribution.
+sharded builder all construct indexes through :func:`build_index` instead
+of calling scattered ``build`` classmethods directly.  Callers that want
+several variants over identical samples pass a shared ``estimation=`` (the
+baselines and the explicit minimizer constructions) or ``data=`` (the
+MWST / MWSA / grid variants) through :func:`build_index`'s keyword options.
 """
 
 from __future__ import annotations
@@ -22,12 +14,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from ..core.estimation import ZEstimation, build_z_estimation
 from ..core.weighted_string import WeightedString
 from ..errors import ConstructionError
-from ..sampling.minimizers import MinimizerScheme
 from .base import UncertainStringIndex
-from .minimizer_core import MinimizerIndexData, build_index_data_from_estimation
 from .mwst import (
     GridMinimizerWSA,
     GridMinimizerWST,
@@ -46,7 +35,6 @@ __all__ = [
     "available_kinds",
     "build_index",
     "rebuild_in_place",
-    "ConstructionPipeline",
 ]
 
 
@@ -55,15 +43,12 @@ class IndexSpec:
     """Registration record of one index variant.
 
     ``needs_ell`` marks variants whose minimum pattern length is a build
-    parameter; ``shares_estimation`` / ``shares_data`` tell the pipeline
-    which cached stages the variant's build can consume.
+    parameter.
     """
 
     name: str
     cls: type
     needs_ell: bool
-    shares_estimation: bool = False
-    shares_data: bool = False
     description: str = ""
 
 
@@ -175,125 +160,43 @@ def rebuild_in_place(index: UncertainStringIndex) -> dict:
     return {"strategy": "full-rebuild", "kind": spec.name, "ell": ell}
 
 
-class ConstructionPipeline:
-    """Staged, reusable construction of many variants over one input.
-
-    The pipeline caches the stage outputs (z-estimation, minimizer scheme,
-    shared leaf collections) so that building several variants — the
-    benchmark suites, the oracle tests, a sharded build that compares
-    against its monolithic twin — pays each stage once.  Stages are computed
-    lazily: a pipeline used only for ``MWST-SE`` never builds an estimation.
-    """
-
-    def __init__(
-        self,
-        source: WeightedString,
-        z: float,
-        *,
-        ell: int | None = None,
-        scheme: MinimizerScheme | None = None,
-        estimation: ZEstimation | None = None,
-        grid_brute_force_limit: int | None = None,
-    ) -> None:
-        """``grid_brute_force_limit`` overrides the ``Grid2D`` backend-selection
-        threshold for the grid variants built by this pipeline."""
-        self.source = source
-        self.z = z
-        self.ell = ell
-        self.grid_brute_force_limit = grid_brute_force_limit
-        self._scheme = scheme
-        self._estimation = estimation
-        self._data: MinimizerIndexData | None = None
-
-    # -- stages -----------------------------------------------------------------
-    def scheme(self) -> MinimizerScheme:
-        """Stage 0: the (ℓ, k)-minimizer scheme (cached)."""
-        if self._scheme is None:
-            if self.ell is None:
-                raise ConstructionError(
-                    "the pipeline needs ell to derive a minimizer scheme"
-                )
-            self._scheme = MinimizerScheme(self.ell, self.source.sigma)
-        return self._scheme
-
-    def estimation(self) -> ZEstimation:
-        """Stage 1: the z-estimation (cached, shared across variants)."""
-        if self._estimation is None:
-            self._estimation = build_z_estimation(self.source, self.z)
-        return self._estimation
-
-    def index_data(self) -> MinimizerIndexData:
-        """Stage 2: the sorted minimizer leaf collections (cached)."""
-        if self._data is None:
-            if self.ell is None:
-                raise ConstructionError(
-                    "the pipeline needs ell to build minimizer index data"
-                )
-            self._data = build_index_data_from_estimation(
-                self.source,
-                self.z,
-                self.ell,
-                scheme=self.scheme(),
-                estimation=self.estimation(),
-            )
-        return self._data
-
-    # -- assembly ---------------------------------------------------------------
-    def build(self, kind: str, **options) -> UncertainStringIndex:
-        """Stage 3: assemble one variant, feeding it the cached stages."""
-        spec = get_spec(kind)
-        if spec.shares_estimation:
-            options.setdefault("estimation", self.estimation())
-        if spec.shares_data:
-            options.setdefault("data", self.index_data())
-        if spec.needs_ell and not spec.shares_data:
-            options.setdefault("scheme", self.scheme())
-        if self.grid_brute_force_limit is not None and getattr(spec.cls, "use_grid", False):
-            options.setdefault("grid_brute_force_limit", self.grid_brute_force_limit)
-        return build_index(self.source, self.z, kind=kind, ell=self.ell, **options)
-
-    def build_many(self, kinds) -> dict[str, UncertainStringIndex]:
-        """Assemble several variants over the shared stages."""
-        return {kind: self.build(kind) for kind in kinds}
-
-
 # --------------------------------------------------------------------------- #
 # registrations                                                                #
 # --------------------------------------------------------------------------- #
 register_index(
     IndexSpec(
-        "WST", WeightedSuffixTree, needs_ell=False, shares_estimation=True,
+        "WST", WeightedSuffixTree, needs_ell=False,
         description="weighted suffix tree baseline (Θ(nz) nodes)",
     )
 )
 register_index(
     IndexSpec(
-        "WSA", WeightedSuffixArray, needs_ell=False, shares_estimation=True,
+        "WSA", WeightedSuffixArray, needs_ell=False,
         description="weighted suffix array baseline (Θ(nz) entries)",
     )
 )
 register_index(
     IndexSpec(
-        "MWST", MinimizerWST, needs_ell=True, shares_estimation=True,
-        shares_data=True, description="minimizer solid-factor trees",
+        "MWST", MinimizerWST, needs_ell=True,
+        description="minimizer solid-factor trees",
     )
 )
 register_index(
     IndexSpec(
-        "MWSA", MinimizerWSA, needs_ell=True, shares_estimation=True,
-        shares_data=True, description="minimizer solid-factor arrays",
+        "MWSA", MinimizerWSA, needs_ell=True,
+        description="minimizer solid-factor arrays",
     )
 )
 register_index(
     IndexSpec(
-        "MWST-G", GridMinimizerWST, needs_ell=True, shares_estimation=True,
-        shares_data=True, description="minimizer trees + Theorem-9 grid query",
+        "MWST-G", GridMinimizerWST, needs_ell=True,
+        description="minimizer trees + Theorem-9 grid query",
     )
 )
 register_index(
     IndexSpec(
-        "MWSA-G", GridMinimizerWSA, needs_ell=True, shares_estimation=True,
-        shares_data=True, description="minimizer arrays + Theorem-9 grid query",
+        "MWSA-G", GridMinimizerWSA, needs_ell=True,
+        description="minimizer arrays + Theorem-9 grid query",
     )
 )
 register_index(

@@ -49,9 +49,9 @@ class WeightedSuffixArray(UncertainStringIndex):
     ) -> "WeightedSuffixArray":
         """Build the WSA for ``source`` and threshold ``1/z``.
 
-        An existing z-estimation may be passed to share it across baselines
-        (the benchmark harness does this); it is charged to the construction
-        space either way, since the index cannot be built without it.
+        An existing z-estimation may be passed to share it across baselines;
+        it is charged to the construction space either way, since the index
+        cannot be built without it.
         """
         started = time.perf_counter()
         tracker = ConstructionTracker()

@@ -273,43 +273,35 @@ class QueryService:
             self._warm_set = list(warm_set)
         return {"warmed": len(warm_set), "skipped": skipped, "patterns_seen": seen}
 
-    def rewarm(self) -> dict:
-        """Re-execute remembered warm patterns whose cache entries are gone.
+    def rewarm(self, invalidated) -> int:
+        """Re-execute the remembered warm patterns among ``invalidated`` cache keys.
 
-        Called automatically after :meth:`update` / :meth:`adopt_index`
-        invalidation when a warm set was remembered; harmless (and cheap) to
-        call by hand.  Warm patterns still cached are left alone — only the
-        invalidated ones are re-executed and re-cached, so the first
-        post-update request wave hits the cache for the whole warm set.
-        Patterns that no longer validate against the current index are
-        dropped from the warm set.
+        Called by :meth:`update` / :meth:`adopt_index` with the keys their
+        invalidation removed.  Only warm patterns whose entry was
+        invalidated are re-executed and re-cached, so the first post-update
+        request wave hits the cache for them; entries the LRU evicted
+        earlier stay evicted.  Patterns that no longer validate against the
+        current index are dropped from the warm set.  Returns how many
+        patterns were re-executed.
         """
-        if not self._warm_set or not self._cache_enabled:
-            return {"rewarmed": 0, "already_cached": 0, "dropped": 0}
+        if not invalidated or not self._warm_set or not self._cache_enabled:
+            return 0
+        invalidated = set(invalidated)
         pending: list[Query] = []
         kept: list[Query] = []
-        already = 0
-        dropped = 0
         for query in self._warm_set:
             try:
                 query = self.validate(query)
             except (ReproError, ValueError, TypeError):
-                dropped += 1
                 continue
             kept.append(query)
-            if self._key(query) in self._cache:
-                already += 1
-            else:
+            if self._key(query) in invalidated:
                 pending.append(query)
         self._warm_set = kept
         for start in range(0, len(pending), 256):
             self.query_many(pending[start : start + 256])
         self._rewarms += len(pending)
-        return {
-            "rewarmed": len(pending),
-            "already_cached": already,
-            "dropped": dropped,
-        }
+        return len(pending)
 
     def adopt_index(self, new_index, *, positions=(), generation=None) -> dict:
         """Swap in a reloaded index, invalidating stale cache entries exactly.
@@ -328,11 +320,9 @@ class QueryService:
         old_source = self._index.source
         new_source = new_index.source
         positions = sorted({int(p) for p in positions})
-        invalidated = 0
         if len(new_source) != len(old_source) or not positions:
-            invalidated = len(self._cache)
-            self._cache.clear()
-        elif self._cache:
+            stale = list(self._cache)
+        else:
             n = len(new_source)
             stale = []
             for key in self._cache:
@@ -342,19 +332,18 @@ class QueryService:
                 after = new_source.occurrence_log_probabilities(codes, starts)
                 if not np.array_equal(before, after):
                     stale.append(key)
-            for key in stale:
-                self._cache.pop(key, None)
-            invalidated = len(stale)
+        for key in stale:
+            self._cache.pop(key, None)
         self._index = new_index
         self._planner = QueryPlanner(new_index)
         self._updates += 1
-        self._invalidations += invalidated
+        self._invalidations += len(stale)
         self._generation = (
             int(generation) if generation is not None else self._generation + 1
         )
-        rewarmed = self.rewarm()["rewarmed"] if invalidated and self._warm_set else 0
+        rewarmed = self.rewarm(stale)
         return {
-            "invalidated_entries": invalidated,
+            "invalidated_entries": len(stale),
             "surviving_entries": len(self._cache),
             "rewarmed_entries": rewarmed,
             "service_generation": self._generation,
@@ -404,19 +393,19 @@ class QueryService:
                     (key, starts, source.occurrence_log_probabilities(codes, starts))
                 )
         report = self._index.apply_updates(updates)
-        invalidated = 0
+        stale = []
         for key, starts, before in probes:
             codes = np.frombuffer(key[0], dtype=np.int64)
             after = source.occurrence_log_probabilities(codes, starts)
             if not np.array_equal(before, after):
                 self._cache.pop(key, None)
-                invalidated += 1
+                stale.append(key)
         self._updates += 1
-        self._invalidations += invalidated
+        self._invalidations += len(stale)
         self._generation += 1
-        rewarmed = self.rewarm()["rewarmed"] if invalidated and self._warm_set else 0
+        rewarmed = self.rewarm(stale)
         response = report.as_dict()
-        response["invalidated_entries"] = invalidated
+        response["invalidated_entries"] = len(stale)
         response["surviving_entries"] = len(self._cache)
         response["rewarmed_entries"] = rewarmed
         response["service_generation"] = self._generation

@@ -559,7 +559,6 @@ class Supervisor:
     def _apply_update(self, request: dict) -> None:
         from ..io.store import (
             _wal_updates_payload,
-            append_update_log,
             append_wal,
             refresh_sharded_store,
             save_index,
@@ -608,19 +607,6 @@ class Supervisor:
                         "generations": list(self._index.generations),
                     },
                 )
-                try:
-                    append_update_log(
-                        self._current_store,
-                        {
-                            "time": time.time(),
-                            "positions": report.get("positions", []),
-                            "strategy": report.get("strategy"),
-                            "generation": self._generation,
-                            "rewritten": refresh["rewritten"],
-                        },
-                    )
-                except OSError:  # pragma: no cover - the log is advisory
-                    pass
             else:
                 base = Path(self._store_path)
                 new_path = str(base.with_name(f"{base.name}.g{self._generation}"))

@@ -30,9 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.alphabet import Alphabet
+from repro.core.estimation import build_z_estimation
 from repro.core.weighted_string import WeightedString
-from repro.indexes import ConstructionPipeline
-from repro.indexes.minimizer_core import LeafCollection
+from repro.indexes import build_index
+from repro.indexes.minimizer_core import LeafCollection, build_index_data_from_estimation
 from repro.strings.lcp import lcp_array
 from repro.strings.trie import _CSR_ARRAY_NAMES
 
@@ -139,9 +140,14 @@ def trie_arrays(prefix: str, trie) -> dict:
 
 def generate_case(matrix: np.ndarray, z: float, ell: int) -> dict:
     source = WeightedString(matrix, alphabet_of(matrix.shape[1]))
-    pipeline = ConstructionPipeline(source, z, ell=ell)
-    data = pipeline.index_data()
-    built = {kind: pipeline.build(kind) for kind in ("WST", "WSA", "MWST", "MWST-SE")}
+    estimation = build_z_estimation(source, z)
+    data = build_index_data_from_estimation(source, z, ell, estimation=estimation)
+    built = {
+        "WST": build_index(source, z, kind="WST", estimation=estimation),
+        "WSA": build_index(source, z, kind="WSA", estimation=estimation),
+        "MWST": build_index(source, z, kind="MWST", ell=ell, data=data),
+        "MWST-SE": build_index(source, z, kind="MWST-SE", ell=ell),
+    }
     arrays = {}
     for side, collection in (("fwd", data.forward), ("bwd", data.backward)):
         check_collection(collection)

@@ -55,6 +55,10 @@ class TestHarness:
         assert set(measurements) == {"WSA", "MWSA", "MWST-SE"}
         sizes = {name: m.index_size_bytes for name, m in measurements.items()}
         assert sizes["MWSA"] < sizes["WSA"]
+        # Each kind builds its own estimation; all of them sample the same.
+        for pattern in query_workload(tiny_source, 8, 16, 3, seed=2):
+            answers = {name: m.index.locate(pattern) for name, m in measurements.items()}
+            assert answers["WSA"] == answers["MWSA"] == answers["MWST-SE"]
 
     def test_query_workload_lengths(self, tiny_source):
         patterns = query_workload(tiny_source, 8, 16, 4, seed=1)

@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 
 from repro.core.alphabet import Alphabet
+from repro.core.estimation import build_z_estimation
 from repro.core.weighted_string import WeightedString
-from repro.indexes import ConstructionPipeline
-from repro.indexes.minimizer_core import LeafCollection
+from repro.indexes import build_index
+from repro.indexes.minimizer_core import LeafCollection, build_index_data_from_estimation
 from repro.strings.lcp import lcp_array
 from repro.strings.trie import _CSR_ARRAY_NAMES
 
@@ -48,15 +49,14 @@ def assert_trie_matches(case: dict, prefix: str, trie) -> None:
         np.testing.assert_array_equal(arrays[name], case[f"{prefix}{name}"], err_msg=name)
 
 
-def case_pipeline(case: dict, monkeypatch) -> ConstructionPipeline:
-    """A construction pipeline over the case's input, under its sort limits."""
+def case_input(case: dict, monkeypatch):
+    """``(source, z, ell)`` of a case, with its leaf-sort limits in force."""
     presort, widen = (int(value) for value in case["limits"])
     monkeypatch.setattr(LeafCollection, "PRESORT_PREFIX", presort)
     monkeypatch.setattr(LeafCollection, "SORT_WIDEN_LIMIT", widen)
     matrix = case["matrix"]
     alphabet = Alphabet([f"c{code}" for code in range(matrix.shape[1])])
-    source = WeightedString(matrix, alphabet)
-    return ConstructionPipeline(source, float(case["z"]), ell=int(case["ell"]))
+    return WeightedString(matrix, alphabet), float(case["z"]), int(case["ell"])
 
 
 def test_fixture_registry():
@@ -72,9 +72,15 @@ def test_fixture_registry():
 @pytest.mark.parametrize("name", CASES)
 def test_construction_matches_golden(name, monkeypatch):
     case = load_case(name)
-    pipeline = case_pipeline(case, monkeypatch)
-    built = {kind: pipeline.build(kind) for kind in ("WST", "WSA", "MWST", "MWST-SE")}
-    data = pipeline.index_data()
+    source, z, ell = case_input(case, monkeypatch)
+    estimation = build_z_estimation(source, z)
+    data = build_index_data_from_estimation(source, z, ell, estimation=estimation)
+    built = {
+        "WST": build_index(source, z, kind="WST", estimation=estimation),
+        "WSA": build_index(source, z, kind="WSA", estimation=estimation),
+        "MWST": build_index(source, z, kind="MWST", ell=ell, data=data),
+        "MWST-SE": build_index(source, z, kind="MWST-SE", ell=ell),
+    }
     for side, collection in (("fwd", data.forward), ("bwd", data.backward)):
         for field in LEAF_FIELDS:
             np.testing.assert_array_equal(
@@ -107,7 +113,7 @@ def test_narrow_limits_reach_the_comparator_fallback(monkeypatch):
 
     monkeypatch.setattr(LeafCollection, "_compare", counted_compare)
     monkeypatch.setattr(LeafCollection, "_leaf_lcp", counted_leaf_lcp)
-    data = case_pipeline(load_case("narrow-limits"), monkeypatch).index_data()
+    data = build_index_data_from_estimation(*case_input(load_case("narrow-limits"), monkeypatch))
     assert calls["compare"] > 0  # the sort finished tied runs with the comparator
     before = calls["leaf_lcp"]
     data.forward.adjacent_lcps()

@@ -31,8 +31,8 @@ from test_estimation_golden import CASES, assert_matches_golden, load_case
 from repro.core.alphabet import Alphabet
 from repro.core.estimation import build_z_estimation
 from repro.core.weighted_string import WeightedString
-from repro.indexes import ConstructionPipeline, build_index
-from repro.indexes.minimizer_core import LeafCollection
+from repro.indexes import build_index
+from repro.indexes.minimizer_core import LeafCollection, build_index_data_from_estimation
 from repro.io.store import load_index, save_index
 
 ALL_MONOLITHIC = ("WST", "WSA", "MWST", "MWSA", "MWST-G", "MWSA-G", "MWST-SE")
@@ -200,10 +200,10 @@ def test_construction_parity_sweep(tmp_path, name, style, n, sigma, z, ell, seed
     patterns = random_patterns(source, ell, seed + 1)
     assert patterns
 
-    pipeline = ConstructionPipeline(source, z, ell=ell)
-    for kind in ALL_MONOLITHIC:
-        assert_index_matches_oracle(pipeline.build(kind), source, patterns, z, (name, kind))
-    assert_explicit_data(pipeline.index_data())
+    built = {kind: build_index(source, z, kind=kind, ell=ell) for kind in ALL_MONOLITHIC}
+    for kind, index in built.items():
+        assert_index_matches_oracle(index, source, patterns, z, (name, kind))
+    assert_explicit_data(built["MWSA"].data)
 
     # Sharded builds: every shard is an explicit build of its slice.
     sharded = build_index(
@@ -214,12 +214,12 @@ def test_construction_parity_sweep(tmp_path, name, style, n, sigma, z, ell, seed
         assert_explicit_data(shard.data)
 
     # Store round trip: the reloaded index keeps its leaves and pairing.
-    built = pipeline.build("MWSA-G")
-    save_index(tmp_path / "new.idx", built)
+    grid_index = built["MWSA-G"]
+    save_index(tmp_path / "new.idx", grid_index)
     loaded = load_index(tmp_path / "new.idx")
     assert_index_matches_oracle(loaded, source, patterns, z, (name, "store"))
-    assert leaf_tuples(loaded.data.forward) == leaf_tuples(built.data.forward)
-    assert loaded.data.pairs == built.data.pairs
+    assert leaf_tuples(loaded.data.forward) == leaf_tuples(grid_index.data.forward)
+    assert loaded.data.pairs == grid_index.data.pairs
 
 
 def test_sort_parity_with_tiny_widening_limits(monkeypatch):
@@ -234,7 +234,7 @@ def test_sort_parity_with_tiny_widening_limits(monkeypatch):
     monkeypatch.setattr(LeafCollection, "SORT_WIDEN_LIMIT", 4)
     for seed in (31, 32):
         source = random_weighted_string("degenerate", 90, 3, seed)
-        assert_explicit_data(ConstructionPipeline(source, 4.0, ell=3).index_data())
+        assert_explicit_data(build_index_data_from_estimation(source, 4.0, 3))
 
 
 def test_sort_parity_beyond_byte_packing():
@@ -250,7 +250,7 @@ def test_sort_parity_beyond_byte_packing():
     matrix[fuzzy, rng.integers(0, sigma, int(fuzzy.sum()))] = 0.6
     matrix[fuzzy, rng.integers(0, sigma, int(fuzzy.sum()))] += 0.4
     source = WeightedString(matrix, alphabet, normalize=True)
-    data = ConstructionPipeline(source, 3.0, ell=2).index_data()
+    data = build_index_data_from_estimation(source, 3.0, 2)
     assert len(data.forward) > 0
     assert data.forward._max_letter_code() + 1 >= 255
     assert_explicit_data(data)

@@ -21,7 +21,6 @@ import pytest
 from repro.core.alphabet import Alphabet
 from repro.core.weighted_string import WeightedString
 from repro.indexes import (
-    ConstructionPipeline,
     Query,
     brute_force_occurrences,
     build_index,
@@ -174,8 +173,7 @@ def leaf_tuples(collection):
 )
 def test_differential_fuzz(tmp_path, name, style, n, sigma, z, ell, seed, batches):
     source = random_weighted_string(style, n, sigma, seed)
-    pipeline = ConstructionPipeline(source, z, ell=ell)
-    indexes = {kind: pipeline.build(kind) for kind in MONOLITHIC}
+    indexes = {kind: build_index(source, z, kind=kind, ell=ell) for kind in MONOLITHIC}
     indexes["SHARDED"] = build_index(
         source, z, kind="MWSA", ell=ell, shards=3, max_pattern_len=2 * ell
     )
@@ -249,8 +247,7 @@ def test_fuzz_checkpointed_repair_at_boundaries(tmp_path, monkeypatch):
     monkeypatch.setattr(estimation_module, "DEFAULT_CHECKPOINT_EVERY", K)
     n, sigma, z, ell, seed = 96, 4, 4.0, 3, 909
     source = random_weighted_string("skewed", n, sigma, seed)
-    pipeline = ConstructionPipeline(source, z, ell=ell)
-    indexes = {kind: pipeline.build(kind) for kind in MONOLITHIC}
+    indexes = {kind: build_index(source, z, kind=kind, ell=ell) for kind in MONOLITHIC}
     indexes["SHARDED"] = build_index(
         source, z, kind="MWSA", ell=ell, shards=3, max_pattern_len=2 * ell
     )

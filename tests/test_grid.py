@@ -1,6 +1,5 @@
 """Tests for repro.geometry.grid (2D range reporting, Lemma 7 substrate)."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,7 +34,7 @@ class TestBackendsAgree:
         # The paper's grid pairs two permutations of [1, N].
         permutation = [3, 0, 2, 1, 4]
         points = list(enumerate(permutation))
-        grid = Grid2D(points, backend="range_tree")
+        grid = RangeTree2D(points)
         assert sorted(grid.report(0, 5, 0, 5)) == sorted(points)
         assert grid.count(1, 4, 0, 3) == len(
             [(x, y) for x, y in points if 1 <= x < 4 and 0 <= y < 3]
@@ -52,12 +51,8 @@ class TestGridFacade:
         grid = Grid2D(points)
         assert isinstance(grid._backend, RangeTree2D)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            Grid2D([], backend="quadtree")
-
     def test_len_and_nbytes(self):
-        grid = Grid2D([(0, 1), (2, 3), (4, 5)], backend="range_tree")
+        grid = Grid2D([(0, 1), (2, 3), (4, 5)])
         assert len(grid) == 3
         assert grid.nbytes() > 0
 
@@ -67,6 +62,6 @@ class TestGridFacade:
         assert grid.count(0, 10, 0, 10) == 0
 
     def test_degenerate_rectangles(self):
-        grid = Grid2D([(1, 1), (2, 2)], backend="range_tree")
+        grid = RangeTree2D([(1, 1), (2, 2)])
         assert grid.report(2, 2, 0, 5) == []
         assert grid.report(0, 5, 3, 3) == []

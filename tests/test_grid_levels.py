@@ -144,66 +144,36 @@ class TestArrayRoundTrip:
             )
 
     def test_grid2d_from_arrays_preserves_limit(self):
+        # A persisted range tree reloads as one, even below the scan limit.
         points = [(i, i) for i in range(10)]
         tree = RangeTree2D(points)
         arrays = tree.to_arrays()
         grid = Grid2D.from_arrays(
-            arrays["points"], arrays["level_ys"], arrays["level_idx"],
-            brute_force_limit=3,
+            arrays["points"], arrays["level_ys"], arrays["level_idx"]
         )
         assert grid.backend_name == "range_tree"
-        assert grid.brute_force_limit == 3
+        assert Grid2D(points).backend_name == "brute"
         assert len(grid) == 10
 
 
 class TestBruteForceLimit:
     def test_default_limit_exposed(self):
-        grid = Grid2D([(0, 0)])
-        assert grid.brute_force_limit == Grid2D.BRUTE_FORCE_LIMIT == 64
+        assert Grid2D.BRUTE_FORCE_LIMIT == 64
 
     def test_boundary_selection(self):
-        points = [(i, i) for i in range(10)]
-        at_limit = Grid2D(points, brute_force_limit=10)
-        above_limit = Grid2D(points, brute_force_limit=9)
+        limit = Grid2D.BRUTE_FORCE_LIMIT
+        points = [(i, (7 * i) % (limit + 1)) for i in range(limit + 1)]
+        at_limit = Grid2D(points[:limit])
+        above_limit = Grid2D(points)
         assert at_limit.backend_name == "brute"
         assert above_limit.backend_name == "range_tree"
-        # Both backends answer identically at the boundary.
-        for x_lo, x_hi, y_lo, y_hi in ((0, 10, 0, 10), (2, 7, 3, 9), (5, 5, 0, 10)):
-            assert sorted(at_limit.report(x_lo, x_hi, y_lo, y_hi)) == sorted(
-                above_limit.report(x_lo, x_hi, y_lo, y_hi)
-            )
-            assert at_limit.count(x_lo, x_hi, y_lo, y_hi) == above_limit.count(
-                x_lo, x_hi, y_lo, y_hi
-            )
-
-    def test_limit_plumbs_through_build_and_pipeline(self):
-        from repro.core.alphabet import Alphabet
-        from repro.core.weighted_string import WeightedString
-        from repro.indexes.registry import ConstructionPipeline, build_index
-
-        rng = np.random.default_rng(31)
-        base = rng.integers(0, 4, size=300)
-        matrix = np.full((300, 4), 0.03)
-        matrix[np.arange(300), base] = 0.91
-        source = WeightedString(matrix, Alphabet("ACGT"))
-        default = build_index(source, 4.0, kind="MWST-G", ell=6)
-        forced_tree = build_index(
-            source, 4.0, kind="MWST-G", ell=6, grid_brute_force_limit=0
-        )
-        forced_brute = build_index(
-            source, 4.0, kind="MWST-G", ell=6, grid_brute_force_limit=10**9
-        )
-        assert forced_tree.grid.backend_name == "range_tree" or len(forced_tree.grid) == 0
-        assert forced_brute.grid.backend_name == "brute"
-        patterns = [[int(c) for c in base[start : start + 8]] for start in range(0, 280, 19)]
-        for pattern in patterns:
-            expected = default.locate(pattern)
-            assert forced_tree.locate(pattern) == expected
-            assert forced_brute.locate(pattern) == expected
-        pipeline = ConstructionPipeline(
-            source, 4.0, ell=6, grid_brute_force_limit=0
-        )
-        piped = pipeline.build("MWSA-G")
-        assert piped.grid.brute_force_limit == 0
-        for pattern in patterns:
-            assert piped.locate(pattern) == default.locate(pattern)
+        # Both backends answer like the linear scan at the boundary.
+        for grid, subset in ((at_limit, points[:limit]), (above_limit, points)):
+            brute = BruteForceGrid(subset)
+            for x_lo, x_hi, y_lo, y_hi in ((0, 65, 0, 65), (2, 37, 3, 49), (5, 5, 0, 10)):
+                assert sorted(grid.report(x_lo, x_hi, y_lo, y_hi)) == sorted(
+                    brute.report(x_lo, x_hi, y_lo, y_hi)
+                )
+                assert grid.count(x_lo, x_hi, y_lo, y_hi) == brute.count(
+                    x_lo, x_hi, y_lo, y_hi
+                )

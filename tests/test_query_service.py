@@ -284,6 +284,17 @@ class TestWarmRewarm:
         assert service.stats()["rewarms"] == 1
         assert service.stats()["warm_set"] == 2
 
+    def test_evicted_warm_entries_are_not_rewarmed(self):
+        source, index, _ = fresh_update_fixture()
+        service = QueryService(index, cache_size=2)
+        service.warm(["ABAB", "CC"], remember=True)
+        service.query("ABA")
+        service.query("BAB")  # the LRU has now evicted both warm entries
+        response = service.update([(1, {"C": 1.0})])
+        assert response["invalidated_entries"] == 2  # ABA and BAB
+        assert response["rewarmed_entries"] == 0
+        assert service.stats()["rewarms"] == 0
+
     def test_without_remember_no_rewarm(self):
         source, index, service = fresh_update_fixture()
         service.warm(["ABAB"])

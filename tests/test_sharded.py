@@ -16,14 +16,15 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.estimation import build_z_estimation
 from repro.errors import ConstructionError, PatternError
 from repro.indexes import (
-    ConstructionPipeline,
     ShardedIndex,
     brute_force_occurrences,
     build_index,
     plan_shards,
 )
+from repro.indexes.minimizer_core import build_index_data_from_estimation
 
 SHARD_COUNTS = (1, 2, 7)
 
@@ -208,28 +209,24 @@ class TestParallelBuild:
         assert sharded.match_many(patterns) == single.match_many(patterns)
 
 
-class TestConstructionPipeline:
+class TestSharedStages:
     def test_stages_are_shared(self, random_weighted_string_factory):
         source = _source(random_weighted_string_factory)
-        pipeline = ConstructionPipeline(source, 4, ell=4)
-        first = pipeline.estimation()
-        assert pipeline.estimation() is first
-        data = pipeline.index_data()
-        assert pipeline.index_data() is data
-        wsa = pipeline.build("WSA")
-        mwsa = pipeline.build("MWSA")
-        mwst_g = pipeline.build("MWST-G")
+        estimation = build_z_estimation(source, 4)
+        data = build_index_data_from_estimation(source, 4, 4, estimation=estimation)
+        wsa = build_index(source, 4, kind="WSA", estimation=estimation)
+        mwsa = build_index(source, 4, kind="MWSA", ell=4, data=data)
+        mwst_g = build_index(source, 4, kind="MWST-G", ell=4, data=data)
         assert mwsa.data is data and mwst_g.data is data
         pattern = [0, 1, 0, 1]
         expected = brute_force_occurrences(source, pattern, 4)
         for index in (wsa, mwsa, mwst_g):
             assert index.locate(pattern) == expected
-
-    def test_pipeline_requires_ell_for_minimizer_stages(
-        self, random_weighted_string_factory
-    ):
-        source = _source(random_weighted_string_factory)
-        pipeline = ConstructionPipeline(source, 4)
-        assert pipeline.build("WSA").locate([0]) is not None
         with pytest.raises(ConstructionError):
-            pipeline.index_data()
+            build_index(source, 4, kind="MWSA", ell=5, data=data)
+
+    def test_minimizer_kinds_require_ell(self, random_weighted_string_factory):
+        source = _source(random_weighted_string_factory)
+        assert build_index(source, 4, kind="WSA").locate([0]) is not None
+        with pytest.raises(ConstructionError):
+            build_index(source, 4, kind="MWSA")

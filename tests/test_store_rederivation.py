@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.alphabet import Alphabet
 from repro.core.weighted_string import WeightedString
-from repro.geometry.grid import RangeTree2D
+from repro.geometry.grid import Grid2D, RangeTree2D
 from repro.indexes.registry import available_kinds, build_index
 from repro.io.store import load_index, save_index
 from repro.strings.trie import CompactedTrie
@@ -50,17 +50,16 @@ def test_reload_rederives_nothing(kind, source, tmp_path):
 
 def test_reload_with_forced_range_tree_grid(source, tmp_path):
     weighted, base = source
-    index = build_index(
-        weighted, 4.0, kind="MWST-G", ell=8, grid_brute_force_limit=0
-    )
-    assert index.grid.backend_name == "range_tree" or len(index.grid) == 0
+    index = build_index(weighted, 4.0, kind="MWST-G", ell=8)
+    # More pairs than the linear-scan limit force the range-tree backend.
+    assert len(index.grid) > Grid2D.BRUTE_FORCE_LIMIT
+    assert index.grid.backend_name == "range_tree"
     path = tmp_path / "grid.idx"
     save_index(path, index)
     grid_before = RangeTree2D.build_count
     loaded = load_index(path)
     assert RangeTree2D.build_count == grid_before
-    assert loaded.grid.backend_name == index.grid.backend_name
-    assert loaded.grid.brute_force_limit == 0
+    assert loaded.grid.backend_name == "range_tree"
     for start in range(0, 350, 41):
         pattern = [int(c) for c in base[start : start + 10]]
         assert loaded.locate(pattern) == index.locate(pattern)

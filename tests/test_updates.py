@@ -338,32 +338,12 @@ class TestUpdateStores:
 
 
 class TestUpdateLogAndCompact:
-    def test_update_log_appends_and_reads_back(self, tmp_path):
-        from repro.io.store import append_update_log, read_update_log
-
-        store = tmp_path / "store"
-        store.mkdir()
-        assert read_update_log(store) == []
-        append_update_log(store, {"positions": [3], "strategy": "dirty-shards"})
-        append_update_log(store, {"positions": [9, 10], "strategy": "dirty-shards"})
-        log = read_update_log(store)
-        assert [entry["positions"] for entry in log] == [[3], [9, 10]]
-
-    def test_corrupt_update_log_raises(self, tmp_path):
-        from repro.errors import SerializationError
-        from repro.io.store import UPDATE_LOG_NAME, read_update_log
-
-        store = tmp_path / "store"
-        store.mkdir()
-        (store / UPDATE_LOG_NAME).write_text('{"ok": 1}\nnot json\n')
-        with pytest.raises(SerializationError):
-            read_update_log(store)
-
     def test_compact_folds_generations_and_truncates_log(self, tmp_path):
         from repro.io.store import (
-            append_update_log,
+            WAL_NAME,
+            apply_updates_durably,
             compact_store,
-            read_update_log,
+            read_wal,
         )
 
         source, index = TestShardedDirtyUpdates().make()
@@ -371,25 +351,17 @@ class TestUpdateLogAndCompact:
         save_sharded_store(store, index)
         for batch in range(2):
             updates = [(int(10 + 40 * batch), {"C": 0.5, "G": 0.5})]
-            report = index.apply_updates(updates)
-            refresh = refresh_sharded_store(store, index, generation_names=True)
-            append_update_log(
-                store,
-                {
-                    "positions": report.positions,
-                    "strategy": report.strategy,
-                    "rewritten": refresh["rewritten"],
-                },
-            )
+            apply_updates_durably(store, index, updates, generation_names=True)
         assert list(store.glob("shard-*.g*.idx"))
-        assert len(read_update_log(store)) == 2
+        records, _, _ = read_wal(store)
+        assert [record["type"] for record in records] == ["update", "applied"] * 2
         patterns = heavy_patterns(source, count=20)
         answers_before = [index.locate(pattern) for pattern in patterns]
 
         outcome = compact_store(store)
         assert outcome["log_entries_cleared"] == 2
         assert not list(store.glob("shard-*.g*.idx"))
-        assert read_update_log(store) == []
+        assert not (store / WAL_NAME).exists()
         compacted = load_sharded_store(store)
         assert compacted.generations == [0] * len(compacted.shards)
         assert [compacted.locate(pattern) for pattern in patterns] == answers_before
