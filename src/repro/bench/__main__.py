@@ -26,7 +26,7 @@ def main(argv=None) -> int:
         "--scale",
         choices=sorted(SCALES),
         default="tiny",
-        help="sweep sizes: tiny (seconds), small (minutes), paper (full parameters)",
+        help="sweep sizes: tiny (a minute or two), small (minutes), paper (full parameters)",
     )
     parser.add_argument(
         "--experiments",

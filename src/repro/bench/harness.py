@@ -149,17 +149,19 @@ def build_index_suite(
 
     Every kind runs its whole construction — z-estimation, leaves, sort,
     tries, grid — inside its own timer and memory trace, as the paper times
-    construction.  Only the minimizer ``scheme`` is shared, so the minimizer
-    kinds sample the same minimizers.  Each measurement carries the
+    construction.  A ``scheme`` given here (e.g. another minimizer order) is
+    passed to every minimizer kind.  Each measurement carries the
     :mod:`repro.timing` stage seconds of its own build, so the stages every
     explicit construction repeats (the estimation above all) stay visible
     in their own columns.
     """
-    if scheme is None:
-        scheme = MinimizerScheme(ell, source.sigma)
     measurements = {}
     for kind in kinds:
-        options = {"ell": ell, "scheme": scheme} if get_spec(kind).needs_ell else {}
+        options = {}
+        if get_spec(kind).needs_ell:
+            options["ell"] = ell
+            if scheme is not None:
+                options["scheme"] = scheme
         measurements[kind] = measure_build(
             lambda kind=kind, options=options: build_index(source, z, kind=kind, **options),
             kind,

@@ -1343,7 +1343,10 @@ def compact_store(directory) -> dict:
     byte-untouched.  Query results are byte-identical before and after —
     only the file layout changes.  Returns ``{"shards": count, "removed":
     [...], "log_entries_cleared": count}``, the last being the number of
-    WAL ``update`` records dropped.
+    WAL ``update`` records dropped.  Only shard files, the manifest and the
+    WAL are touched: any other file in the directory — such as the JSON-lines
+    update history that stores kept beside the WAL before the WAL became
+    their only update record, and that nothing reads — is left in place.
 
     Compaction refuses to run on a store that fails :func:`verify_store`
     (e.g. one left dirty by a crashed refresh): unlinking generation files

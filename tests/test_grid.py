@@ -52,9 +52,15 @@ class TestGridFacade:
         assert isinstance(grid._backend, RangeTree2D)
 
     def test_len_and_nbytes(self):
-        grid = Grid2D([(0, 1), (2, 3), (4, 5)])
-        assert len(grid) == 3
-        assert grid.nbytes() > 0
+        small = Grid2D([(0, 1), (2, 3), (4, 5)])
+        assert isinstance(small._backend, BruteForceGrid)
+        assert len(small) == 3
+        assert small.nbytes() > 0
+        points = [(i, (7 * i) % 101) for i in range(Grid2D.BRUTE_FORCE_LIMIT + 1)]
+        large = Grid2D(points)
+        assert isinstance(large._backend, RangeTree2D)
+        assert len(large) == len(points)
+        assert large.nbytes() > small.nbytes()
 
     def test_empty_grid(self):
         grid = Grid2D([])
