@@ -5,8 +5,12 @@ batch query engine.  The workload is a 1,000-pattern batch (70 % patterns
 sampled from the z-estimation, 30 % uniformly random) over the synthetic
 sparse-uncertainty dataset; the timed payloads are
 
-* ``per-pattern`` — the old query loop, ``[index.locate(p) for p in batch]``;
-* ``batch``       — one ``index.match_many(batch)`` call.
+* ``per-pattern`` — ``[index.locate(p) for p in batch]``: the planner's
+  scalar strategy once per pattern, i.e. one leaf search per pattern (a
+  trie walk for MWST*, a one-piece packed-key search for MWSA*), a Python
+  candidate set and per-candidate verification;
+* ``batch``       — one ``index.match_many(batch)`` call: deduplication, one
+  packed-key search over all pieces and bulk verification.
 
 Run standalone; CI uses tiny parameters as a smoke test::
 
@@ -59,7 +63,7 @@ def run_batch(index, patterns):
 
 
 def main(argv=None) -> int:
-    """Standalone old-vs-new comparison (prints patterns/sec and speedups)."""
+    """Standalone per-pattern vs batch comparison (prints patterns/sec and speedups)."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--length", type=int, default=DEFAULT_LENGTH)
     parser.add_argument("--patterns", type=int, default=DEFAULT_PATTERNS)
@@ -88,11 +92,11 @@ def main(argv=None) -> int:
         if per_pattern != batch:
             print(f"{kind}: MISMATCH between per-pattern and batch results")
             return 1
-        old_rate = len(patterns) / (mid - started)
-        new_rate = len(patterns) / (finished - mid)
+        per_pattern_rate = len(patterns) / (mid - started)
+        batch_rate = len(patterns) / (finished - mid)
         print(
-            f"{kind}: per-pattern {old_rate:,.0f} pat/s, "
-            f"batch {new_rate:,.0f} pat/s, speedup {new_rate / old_rate:.1f}x"
+            f"{kind}: per-pattern {per_pattern_rate:,.0f} pat/s, "
+            f"batch {batch_rate:,.0f} pat/s, speedup {batch_rate / per_pattern_rate:.1f}x"
         )
     return 0
 

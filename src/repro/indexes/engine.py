@@ -9,7 +9,9 @@ probability product.  The batch path vectorises all of it:
 * leftmost minimizers of the whole batch come from a single vectorised
   argmin (:meth:`MinimizerScheme.leftmost_pattern_minimizers`);
 * leaf ranges of all query pieces are found with two ``np.searchsorted``
-  calls over cached byte keys (:meth:`LeafCollection.prefix_range_many`);
+  calls over the leaves' packed search keys
+  (:meth:`LeafCollection.prefix_range_many`, the same search a single
+  pattern's scalar query runs on the array variants);
 * candidate occurrence positions are gathered with array slices and verified
   in bulk through the source's log-probability cache, grouped by pattern
   length (:func:`~repro.indexes.verification.verify_candidate_batches`).

@@ -11,10 +11,15 @@ comparisons go through longest-common-extension queries on the heavy string
 
 The collection is stored structure-of-arrays: parallel ``anchors`` /
 ``lengths`` / ``positions`` / ``sources`` vectors plus a CSR triple for the
-mismatches.  Sorting packs fixed-width leaf-prefix key matrices and sorts
-them with stable numpy argsorts (radix-style), widening the materialised
-prefix only for the rows still tied; :class:`FactorLeaf` objects are lazy
-views materialised on demand (tests, scalar query paths).
+mismatches; :class:`FactorLeaf` objects are lazy views materialised on
+demand (tests, trie construction).  Leaf prefixes have one packed key
+format for every alphabet (:meth:`LeafCollection._pack`: each letter + 1 as
+a big-endian unsigned integer, 1 byte per letter while every code is
+≤ 253).  The sort orders those keys with stable argsorts, widening the
+materialised prefix only for the rows still tied; the update merge ranks
+re-derived leaves among the kept ones with ``searchsorted`` over them; and
+every prefix search, one piece or a whole batch, is two ``searchsorted``
+calls over the same keys (:meth:`LeafCollection.prefix_range_many`).
 
 This module provides:
 
@@ -32,7 +37,7 @@ This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 
 import numpy as np
 
@@ -252,10 +257,10 @@ class LeafCollection:
     #: (and by the adjacent-LCP computation's first round).
     PRESORT_PREFIX = 24
 
-    #: Widest materialised prefix used by the vectorised batch search; longer
-    #: query pieces narrow the range on the first letters, then refine with
-    #: the exact scalar comparator.
-    SEARCH_PREFIX_LIMIT = 128
+    #: Letters per leaf in the cached search keys (built once per collection,
+    #: on the first search).  Longer query pieces narrow the range on these
+    #: letters, then compare the rest of their letters in one vectorised step.
+    SEARCH_PREFIX_LIMIT = 64
 
     #: Widest prefix the sort/LCP widening rounds materialise before falling
     #: back to the exact heavy-LCE comparator (pathological near-duplicate
@@ -294,8 +299,6 @@ class LeafCollection:
         self._leaf_cache: list[FactorLeaf | None] = [None] * count
         self._trie: CompactedTrie | None = None
         self._search_keys: np.ndarray | None = None
-        self._search_width = 0
-        self._max_letter: int | None = None
 
     # -- array access ----------------------------------------------------------------
     @property
@@ -384,7 +387,7 @@ class LeafCollection:
             length = min(limit, length)
         return [self.letter(index, offset) for offset in range(length)]
 
-    # -- exact comparisons (scalar fallback) -------------------------------------------
+    # -- exact comparisons (sort fallback, merge seams) --------------------------------
     def _ensure_lce(self) -> LCEIndex:
         if self._lce is None:
             self._lce = LCEIndex(self._reference)
@@ -461,18 +464,19 @@ class LeafCollection:
         Entry ``[i, t]`` is the letter of row ``rows[i]`` at offset
         ``lo + t``, or ``-1`` past the leaf's end (which sorts before every
         real letter, matching the proper-prefix-first leaf order).
-        Reference letters are gathered in one fancy-indexing pass and the CSR
-        mismatches of the selected rows are scattered on top.
+        Reference letters are copied row by row out of a sliding-window view
+        of the (zero-padded) reference and the CSR mismatches of the selected
+        rows are scattered on top.
         """
         arrays = self._arrays
         width = hi - lo
-        if len(rows) == 0 or len(self._reference) == 0:
+        reference = self._reference
+        if len(rows) == 0 or len(reference) == 0:
             return np.empty((len(rows), width), dtype=np.int64)
+        padded = np.concatenate([reference, np.zeros(width, dtype=np.int64)])
+        windows = np.lib.stride_tricks.sliding_window_view(padded, width)
+        matrix = windows[np.minimum(arrays.anchors[rows] + lo, len(reference))]
         offsets = np.arange(lo, hi, dtype=np.int64)
-        gather = np.minimum(
-            arrays.anchors[rows][:, None] + offsets[None, :], len(self._reference) - 1
-        )
-        matrix = self._reference[gather]
         starts = arrays.mm_start[rows]
         ends = arrays.mm_start[rows + 1]
         counts = ends - starts
@@ -494,32 +498,48 @@ class LeafCollection:
             max_code = max(max_code, int(self._arrays.mm_code.max()))
         return max_code
 
+    # -- packed keys -----------------------------------------------------------------
+    @cached_property
+    def _letter_bytes(self) -> int:
+        """Bytes per letter of the packed keys.
+
+        The narrowest width that leaves a sentinel value above every stored
+        ``letter + 1``: 1 byte while every letter code of the collection is
+        ≤ 253, 2 bytes while it is ≤ 65,533.
+        """
+        top = self._max_letter_code() + 1
+        return next(size for size in (1, 2, 4) if top < 256**size - 1)
+
+    def _pack(self, letters: np.ndarray) -> np.ndarray:
+        """The packed keys of a letter matrix (``-1`` past a leaf's end).
+
+        Each letter is stored as ``letter + 1`` (past-end = 0) in a
+        big-endian unsigned integer of :attr:`_letter_bytes` bytes, and each
+        row is viewed as one fixed-width byte string.  For big-endian
+        integers bytewise (memcmp) order is integer order, so numpy's string
+        ``argsort`` / ``searchsorted`` / ``==`` order the keys like the rows,
+        proper prefixes first.  Every sort, update merge and prefix search of
+        the leaves compares these keys.
+        """
+        size = self._letter_bytes
+        packed = np.ascontiguousarray((letters + 1).astype(f">u{size}"))
+        return packed.view(f"S{letters.shape[1] * size}")[:, 0]
+
     # -- sorting ---------------------------------------------------------------------
     def _stable_content_order(
         self,
-        matrix: np.ndarray,
+        keys: np.ndarray,
         positions: np.ndarray,
         sources: np.ndarray,
         group_ids: np.ndarray | None,
-        packable: bool,
     ) -> np.ndarray:
-        """Stable order by (group, content columns, position, source).
+        """Stable order by (group, packed content key, position, source).
 
         Implemented as a chain of stable argsorts from the least significant
-        key up (classic LSD radix sorting); when every letter fits in a byte
-        the content columns collapse into one packed fixed-width byte key
-        compared with a single memcmp-style argsort.
+        key up (classic LSD radix sorting).
         """
         order = np.lexsort((sources, positions))
-        if packable:
-            width = matrix.shape[1]
-            packed = np.ascontiguousarray((matrix + 1).astype(np.uint8)).view(
-                f"S{width}"
-            )[:, 0]
-            order = order[np.argsort(packed[order], kind="stable")]
-        else:
-            for column in range(matrix.shape[1] - 1, -1, -1):
-                order = order[np.argsort(matrix[order, column], kind="stable")]
+        order = order[np.argsort(keys[order], kind="stable")]
         if group_ids is not None:
             order = order[np.argsort(group_ids[order], kind="stable")]
         return order
@@ -579,7 +599,6 @@ class LeafCollection:
         lengths = arrays.lengths
         positions = arrays.positions
         sources = arrays.sources
-        packable = self._max_letter_code() + 1 < 255
         lo_col = 0
         width = self.PRESORT_PREFIX
         # (start, end) ranges of `order` whose rows are tied on all columns
@@ -598,12 +617,12 @@ class LeafCollection:
                     [end - start for start, end in segments],
                 )
             hi_col = lo_col + width
-            matrix = self._content_matrix(rows, lo_col, hi_col)
+            keys = self._pack(self._content_matrix(rows, lo_col, hi_col))
             sub = self._stable_content_order(
-                matrix, positions[rows], sources[rows], group_ids, packable
+                keys, positions[rows], sources[rows], group_ids
             )
             rows = rows[sub]
-            matrix = matrix[sub]
+            keys = keys[sub]
             order[slots] = rows
             same_group = (
                 np.ones(len(rows) - 1, dtype=bool)
@@ -618,7 +637,7 @@ class LeafCollection:
                 same_group
                 & (lengths[rows[1:]] >= hi_col)
                 & (lengths[rows[:-1]] >= hi_col)
-                & np.all(matrix[1:] == matrix[:-1], axis=1)
+                & (keys[1:] == keys[:-1])
             )
             segments = []
             boundaries = np.nonzero(tied)[0]
@@ -661,137 +680,80 @@ class LeafCollection:
         return order
 
     # -- searching -----------------------------------------------------------------------
-    def _leaf_less_than_piece(self, index: int, piece, *, strict_prefix_smaller: bool) -> bool:
-        """Whether leaf ``index`` sorts strictly before ``piece``.
-
-        With ``strict_prefix_smaller=True`` a leaf that *starts with* the
-        piece is not considered smaller (lower-bound behaviour); with
-        ``False`` it is (upper-bound behaviour).
-        """
-        length = int(self._arrays.lengths[index])
-        limit = min(length, len(piece))
-        for offset in range(limit):
-            letter = self.letter(index, offset)
-            target = int(piece[offset])
-            if letter != target:
-                return letter < target
-        if length < len(piece):
-            return True  # leaf is a proper prefix of the piece: leaf < piece
-        if strict_prefix_smaller:
-            return False
-        return True
-
-    def prefix_range(self, piece, lo: int = 0, hi: int | None = None) -> tuple[int, int]:
-        """Sorted-index range of leaves that have ``piece`` as a prefix.
-
-        ``lo`` / ``hi`` optionally restrict the search to a sorted-index
-        subrange known to bracket the answer (used by the batch search to
-        refine a coarse vectorised range).
-        """
-        piece = [int(code) for code in piece]
-        upper = len(self._arrays) if hi is None else hi
-        lo_search, hi_search = lo, upper
-        while lo_search < hi_search:
-            mid = (lo_search + hi_search) // 2
-            if self._leaf_less_than_piece(mid, piece, strict_prefix_smaller=True):
-                lo_search = mid + 1
-            else:
-                hi_search = mid
-        start = lo_search
-        lo_search, hi_search = start, upper
-        while lo_search < hi_search:
-            mid = (lo_search + hi_search) // 2
-            if self._leaf_less_than_piece(mid, piece, strict_prefix_smaller=False):
-                lo_search = mid + 1
-            else:
-                hi_search = mid
-        return start, lo_search
-
-    # -- batch searching -------------------------------------------------------------------
-    def prefix_matrix(self, width: int) -> np.ndarray:
-        """Materialised ``(count × width)`` matrix of leaf prefixes.
-
-        Entry ``[i, t]`` is the letter of sorted leaf ``i`` at offset ``t``,
-        or ``-1`` past the leaf's end (which sorts before every real letter,
-        matching the proper-prefix-first leaf order).
-        """
-        count = len(self._arrays)
-        if count == 0:
-            return np.empty((0, width), dtype=np.int64)
-        return self._content_matrix(np.arange(count, dtype=np.int64), 0, width)
-
-    def _batch_search_keys(self, width: int) -> np.ndarray | None:
-        """Fixed-width byte keys of the leaf prefixes, for ``np.searchsorted``.
-
-        Letters are shifted by +1 so that the past-end marker becomes the
-        zero byte; returns None when a *leaf* letter would not fit below the
-        upper-bound sentinel byte (code ≥ 254), in which case callers fall
-        back to the scalar search.  Query pieces may still carry larger
-        codes: every code above all leaf letters compares identically, so
-        queries saturate at byte 255 without changing the order.
-        """
-        if self._max_letter is None:
-            self._max_letter = self._max_letter_code()
-        if self._max_letter + 1 >= 255:
-            return None
-        if self._search_keys is None or self._search_width < width:
-            matrix = (self.prefix_matrix(width) + 1).astype(np.uint8)
-            self._search_keys = np.ascontiguousarray(matrix).view(f"S{width}")[:, 0]
-            self._search_width = width
-        return self._search_keys
-
-    def _seed_search_caches(self, keys: np.ndarray | None, width: int, max_letter: int | None) -> None:
-        """Adopt still-valid search caches carried over by an update merge."""
-        self._max_letter = max_letter
-        if keys is not None:
-            self._search_keys = keys
-            self._search_width = width
-
-    def invalidate_search_caches(self) -> None:
-        """Drop the cached byte keys and trie (content changed in place)."""
-        self._search_keys = None
-        self._search_width = 0
-        self._max_letter = None
-        self._trie = None
+    def prefix_range(self, piece) -> tuple[int, int]:
+        """Sorted-index range of leaves that have ``piece`` as a prefix."""
+        lo, hi = self.prefix_range_many([piece])[0]
+        return int(lo), int(hi)
 
     def prefix_range_many(self, pieces: list) -> np.ndarray:
-        """Vectorised :meth:`prefix_range` over a batch of query pieces.
+        """:meth:`prefix_range` of every piece, as a ``(B × 2)`` array of ``[lo, hi)``.
 
-        Returns a ``(B × 2)`` array of ``[lo, hi)`` sorted-index ranges.  All
-        lower and upper bounds are found with two ``np.searchsorted`` calls
-        over cached byte keys; pieces longer than the materialised prefix are
-        refined with the exact comparator inside the narrowed range.
+        The bounds of the whole batch are two ``np.searchsorted`` calls over
+        the search keys, the packed first :data:`SEARCH_PREFIX_LIMIT` letters
+        of every leaf (built on the first search).  A piece's low key pads
+        it with past-end markers, its high key with the sentinel above every
+        letter, so together they bracket exactly the leaves that start with
+        the piece's first letters.  Pieces longer than the keys are then
+        narrowed by :meth:`_refine_long_pieces`.
         """
         ranges = np.zeros((len(pieces), 2), dtype=np.int64)
         if not pieces or not len(self._arrays):
             return ranges
-        width = min(max(len(piece) for piece in pieces), self.SEARCH_PREFIX_LIMIT)
-        keys = self._batch_search_keys(width)
-        if keys is None:
-            for row, piece in enumerate(pieces):
-                ranges[row] = self.prefix_range(piece)
-            return ranges
-        effective_width = self._search_width
-        low_queries = np.zeros((len(pieces), effective_width), dtype=np.uint8)
-        high_queries = np.full((len(pieces), effective_width), 255, dtype=np.uint8)
+        width = self.SEARCH_PREFIX_LIMIT
+        if self._search_keys is None:
+            every_row = np.arange(len(self._arrays), dtype=np.int64)
+            self._search_keys = self._pack(self._content_matrix(every_row, 0, width))
+        # Query letters above every leaf letter saturate at the letter the
+        # sentinel encodes: they can never equal a leaf letter, and the
+        # sentinel sorts after every leaf letter, so the order is kept.
+        top = 256**self._letter_bytes - 2
+        low = np.full((len(pieces), width), -1, dtype=np.int64)
+        high = np.full((len(pieces), width), top, dtype=np.int64)
         for row, piece in enumerate(pieces):
-            head = np.asarray(piece[:effective_width], dtype=np.int64) + 1
-            # Codes above every leaf letter (≤ 253 here) saturate at the
-            # sentinel byte: they can never equal a leaf letter, and 255 is
-            # greater than every leaf byte, so the order is preserved.
-            head = np.minimum(head, 255)
-            low_queries[row, : len(head)] = head
-            high_queries[row, : len(head)] = head
-        low_keys = np.ascontiguousarray(low_queries).view(f"S{effective_width}")[:, 0]
-        high_keys = np.ascontiguousarray(high_queries).view(f"S{effective_width}")[:, 0]
-        ranges[:, 0] = np.searchsorted(keys, low_keys, side="left")
-        ranges[:, 1] = np.searchsorted(keys, high_keys, side="right")
-        for row, piece in enumerate(pieces):
-            if len(piece) > effective_width:
-                ranges[row] = self.prefix_range(
-                    piece, lo=int(ranges[row, 0]), hi=int(ranges[row, 1])
-                )
+            head = np.minimum(np.asarray(piece[:width], dtype=np.int64), top)
+            low[row, : len(head)] = head
+            high[row, : len(head)] = head
+        ranges[:, 0] = np.searchsorted(self._search_keys, self._pack(low), side="left")
+        ranges[:, 1] = np.searchsorted(self._search_keys, self._pack(high), side="right")
+        long_rows = [row for row, piece in enumerate(pieces) if len(piece) > width]
+        if long_rows:
+            self._refine_long_pieces(ranges, long_rows, [pieces[row] for row in long_rows])
         return ranges
+
+    def _refine_long_pieces(self, ranges: np.ndarray, rows: list, pieces: list) -> None:
+        """Narrow ``ranges[rows]`` to the leaves that start with the whole piece.
+
+        The leaves of a long piece's key range share its first
+        :data:`SEARCH_PREFIX_LIMIT` letters and are sorted by the rest, so
+        they split into three consecutive runs: leaves whose later letters
+        sort below the piece's, leaves that continue with exactly them (the
+        answer), and leaves that sort above.  One content matrix over every
+        range's leaves counts the first two runs.
+        """
+        width = self.SEARCH_PREFIX_LIMIT
+        lo = ranges[rows, 0]
+        counts = ranges[rows, 1] - lo
+        tails = np.asarray([len(piece) - width for piece in pieces], dtype=np.int64)
+        targets = np.full((len(rows), int(tails.max())), -1, dtype=np.int64)
+        for row, piece in enumerate(pieces):
+            targets[row, : tails[row]] = piece[width:]
+        owners = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
+        wanted = targets[owners]
+        letters = self._content_matrix(
+            _concat_ranges(lo, lo + counts), width, width + targets.shape[1]
+        )
+        columns = np.arange(targets.shape[1], dtype=np.int64)
+        differs = (letters != wanted) & (columns[None, :] < tails[owners][:, None])
+        decided = differs.any(axis=1)
+        first = np.argmax(differs, axis=1)[:, None]
+        below = decided & (
+            np.take_along_axis(letters, first, axis=1)[:, 0]
+            < np.take_along_axis(wanted, first, axis=1)[:, 0]
+        )
+        ranges[rows, 0] = lo + np.bincount(owners[below], minlength=len(rows))
+        ranges[rows, 1] = ranges[rows, 0] + np.bincount(
+            owners[~decided], minlength=len(rows)
+        )
 
     # -- trie ------------------------------------------------------------------------------
     def adjacent_lcps(self) -> np.ndarray:
@@ -1150,6 +1112,22 @@ def _batch_leaf_less(
     return verdict < 0
 
 
+def _carried_search_keys(
+    old_collection: LeafCollection, kept_old_index: np.ndarray, collection: LeafCollection
+) -> np.ndarray | None:
+    """The old collection's cached search keys of the kept rows.
+
+    ``None`` when the old collection has none, or when ``collection`` (over
+    the updated leaves) packs its letters at another width — a letter
+    entering or leaving the 1-byte range re-keys every row instead of mixing
+    widths.
+    """
+    old_keys = old_collection._search_keys
+    if old_keys is None or old_collection._letter_bytes != collection._letter_bytes:
+        return None
+    return old_keys[kept_old_index]
+
+
 def _merge_sorted_runs(
     old_collection: LeafCollection,
     kept_old_index: np.ndarray,
@@ -1162,26 +1140,23 @@ def _merge_sorted_runs(
     The kept rows keep their old relative order (slicing a sorted sequence
     stays sorted) and the fresh block is sorted on its own, so the unique
     total leaf order reduces to a two-run merge: each fresh leaf's rank
-    among the kept rows is found with one ``searchsorted`` over packed
-    content-prefix byte keys, and only runs tied on the whole prefix fall
-    back to the exact comparator.  Returns ``(collection, kept_target)``
-    with the merged collection built ``presorted`` (no radix re-sort), or
-    ``None`` when the packed-key path does not apply and the caller should
-    re-sort from scratch.
+    among the kept rows is found with one ``searchsorted`` over the packed
+    search keys, and only runs tied on every key letter fall back to the
+    exact comparison.  The merged collection keeps the merged keys for its
+    prefix searches.  Returns ``(collection, kept_target)`` with the merged
+    collection built ``presorted`` (no re-sort), or ``None`` when the fresh
+    block outnumbers the kept rows and the caller should re-sort from
+    scratch.
     """
     kept_count = len(kept_arrays)
     fresh_count = len(fresh_arrays)
     if fresh_count == 0:
         collection = LeafCollection(kept_arrays, reference, presorted=True)
-        old_keys = old_collection._search_keys
-        if old_keys is not None and old_collection._max_letter is not None:
-            collection._seed_search_caches(
-                old_keys[kept_old_index],
-                old_collection._search_width,
-                old_collection._max_letter,
-            )
+        collection._search_keys = _carried_search_keys(
+            old_collection, kept_old_index, collection
+        )
         return collection, np.arange(kept_count, dtype=np.int64)
-    if kept_count == 0 or fresh_count > kept_count:
+    if fresh_count > kept_count:
         return None
     fresh_sorted = LeafCollection(fresh_arrays, reference).arrays
     probe = LeafCollection(
@@ -1189,29 +1164,13 @@ def _merge_sorted_runs(
     )
     # ``probe`` is *not* globally sorted — it only provides content access
     # (letters, packed keys, exact comparisons) over both blocks at once.
-    if probe._max_letter_code() + 1 >= 255:
-        return None
-    old_keys = old_collection._search_keys
-    if (
-        old_keys is not None
-        and old_collection._max_letter is not None
-        and old_collection._max_letter + 1 < 255
-        and old_collection._search_width >= LeafCollection.PRESORT_PREFIX
-    ):
-        # Query-seeded keys can be narrower than the presort prefix (their
-        # width tracks the pattern pieces); narrow keys tie on most of the z
-        # near-duplicate leaves, so recompute at full width instead.
-        width = old_collection._search_width
-        kept_keys = old_keys[kept_old_index]
-    else:
-        width = LeafCollection.PRESORT_PREFIX
-        kept_matrix = (
-            probe._content_matrix(np.arange(kept_count, dtype=np.int64), 0, width) + 1
-        ).astype(np.uint8)
-        kept_keys = np.ascontiguousarray(kept_matrix).view(f"S{width}")[:, 0]
+    width = LeafCollection.SEARCH_PREFIX_LIMIT
+    kept_keys = _carried_search_keys(old_collection, kept_old_index, probe)
+    if kept_keys is None:
+        kept_rows = np.arange(kept_count, dtype=np.int64)
+        kept_keys = probe._pack(probe._content_matrix(kept_rows, 0, width))
     fresh_rows = kept_count + np.arange(fresh_count, dtype=np.int64)
-    fresh_matrix = (probe._content_matrix(fresh_rows, 0, width) + 1).astype(np.uint8)
-    fresh_keys = np.ascontiguousarray(fresh_matrix).view(f"S{width}")[:, 0]
+    fresh_keys = probe._pack(probe._content_matrix(fresh_rows, 0, width))
     ranks = np.searchsorted(kept_keys, fresh_keys, side="left").astype(np.int64)
     upper = np.searchsorted(kept_keys, fresh_keys, side="right")
     ties = np.nonzero(upper > ranks)[0]
@@ -1236,13 +1195,10 @@ def _merge_sorted_runs(
     order[kept_target] = np.arange(kept_count, dtype=np.int64)
     order[fresh_target] = fresh_rows
     collection = LeafCollection(probe.arrays.take(order), reference, presorted=True)
-    # Seed the packed-key cache with the keys this merge just used — the
-    # next update (and prefix searches up to ``width``) reuse them instead
-    # of re-materialising the kept block's content prefix.
     merged_keys = np.empty(merged_count, dtype=kept_keys.dtype)
     merged_keys[kept_target] = kept_keys
     merged_keys[fresh_target] = fresh_keys
-    collection._seed_search_caches(merged_keys, width, probe._max_letter_code())
+    collection._search_keys = merged_keys
     return collection, kept_target
 
 
@@ -1256,15 +1212,15 @@ def _merge_collection(
 
     The kept rows are sliced out of the old parallel arrays and merged with
     the fresh leaves' arrays through :func:`_merge_sorted_runs` (two-run
-    merge over packed byte keys); when that fast path does not apply the
-    concatenation is re-sorted through the same vectorised radix sort a
-    fresh build uses.  The leaf order is a unique total order, so both
-    realise exactly the stepwise merge.  Adjacent-LCP values are carried
-    over where the old neighbourhood survived intact (the LCP of two
-    non-adjacent old leaves is the min of the old adjacent LCPs between
-    them) and recomputed directly only at the seams around inserted leaves.
-    The cached search byte keys survive the same way: kept rows keep their
-    packed keys, only the inserted rows' keys are computed.
+    merge over the packed search keys, which the merged collection keeps);
+    when the fresh leaves outnumber the kept ones the concatenation is
+    re-sorted through the same packed-key sort a fresh build uses, and the
+    search keys are rebuilt on the next search.  The leaf order is a unique
+    total order, so both realise exactly the stepwise merge.  Adjacent-LCP
+    values are carried over where the old neighbourhood survived intact (the
+    LCP of two non-adjacent old leaves is the min of the old adjacent LCPs
+    between them) and recomputed directly only at the seams around inserted
+    leaves.
     """
     old_arrays = old_collection.arrays
     count = len(old_arrays)
@@ -1328,26 +1284,6 @@ def _merge_collection(
             for row in seams:
                 lcps[row + 1] = merged._leaf_lcp(int(row), int(row) + 1)
         merged._cached_lcps = lcps
-    # Carry the still-valid search caches over: kept rows keep their packed
-    # byte keys, the inserted rows' keys are computed at the cached width.
-    # (The fast merge already seeded its own — usually wider — keys.)
-    old_keys = old_collection._search_keys
-    if (
-        merged._search_keys is None
-        and old_keys is not None
-        and old_collection._max_letter is not None
-        and old_collection._max_letter + 1 < 255
-    ):
-        width = old_collection._search_width
-        fresh_slots = np.nonzero(origins < 0)[0]
-        fresh_matrix = (
-            merged._content_matrix(fresh_slots, 0, width) + 1
-        ).astype(np.uint8)
-        fresh_keys = np.ascontiguousarray(fresh_matrix).view(f"S{width}")[:, 0]
-        merged_keys = np.empty(merged_count, dtype=old_keys.dtype)
-        merged_keys[kept_target] = old_keys[kept_old_index]
-        merged_keys[fresh_slots] = fresh_keys
-        merged._seed_search_caches(merged_keys, width, merged._max_letter_code())
     return merged
 
 

@@ -97,6 +97,11 @@ class MinimizerIndexBase(UncertainStringIndex):
             raise ConstructionError(
                 f"shared index data was built for ell={data.ell}, not ell={ell}"
             )
+        elif len(data.source) != len(source) or data.z != z:
+            raise ConstructionError(
+                f"shared index data was built over n={len(data.source)} at "
+                f"z={data.z}, not over n={len(source)} at z={z}"
+            )
         entries = data.counters.get("estimation_entries", len(source) * int(z))
         # Explicit construction keeps the z-estimation plus the sampled leaves.
         tracker.allocate(space_model.codes(entries) + space_model.words(entries))

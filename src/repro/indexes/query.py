@@ -33,7 +33,8 @@ never stored and raises :class:`~repro.errors.QueryError`.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import numbers
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -65,6 +66,22 @@ class QueryMode(str, Enum):
 _PROBABILITY_MODES = (QueryMode.LOCATE_PROBS, QueryMode.TOPK)
 
 
+def _integral(value) -> bool:
+    """An integer or an integral float (JSON ``2.0``); bools and ``2.7`` are not."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(value, numbers.Integral):
+        return True
+    return isinstance(value, numbers.Real) and float(value).is_integer()
+
+
+def _threshold(field: str, value) -> float:
+    """A ``z`` / ``zs`` entry as a float; bools and non-numbers (``"4"``) are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise QueryError(f"{field} must be a number, got {value!r}")
+    return validate_threshold(value)
+
+
 @dataclass(frozen=True)
 class Query:
     """One query request (pattern + mode + optional threshold overrides).
@@ -90,13 +107,12 @@ class Query:
             ) from None
         object.__setattr__(self, "mode", mode)
         if mode is QueryMode.TOPK:
-            try:
-                k = None if self.k is None else int(self.k)
-            except (TypeError, ValueError):
-                raise QueryError(f"k must be an integer, got {self.k!r}") from None
+            k = self.k
+            if k is not None and not _integral(k):
+                raise QueryError(f"k must be an integer, got {k!r}")
             if k is None or k < 1:
                 raise QueryError("topk queries need k >= 1")
-            object.__setattr__(self, "k", k)
+            object.__setattr__(self, "k", int(k))
         elif self.k is not None:
             raise QueryError(
                 f"k is only meaningful for topk queries, not {mode.value!r}"
@@ -104,9 +120,11 @@ class Query:
         if self.z is not None and self.zs is not None:
             raise QueryError("give either a z override or a multi-z sweep, not both")
         if self.z is not None:
-            object.__setattr__(self, "z", validate_threshold(self.z))
+            object.__setattr__(self, "z", _threshold("z", self.z))
         if self.zs is not None:
-            zs = tuple(validate_threshold(value) for value in self.zs)
+            if isinstance(self.zs, (str, bytes)) or not isinstance(self.zs, Iterable):
+                raise QueryError(f"zs must be a list of numbers, got {self.zs!r}")
+            zs = tuple(_threshold("zs", value) for value in self.zs)
             if not zs:
                 raise QueryError("a multi-z sweep needs at least one z value")
             object.__setattr__(self, "zs", zs)

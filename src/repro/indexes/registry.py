@@ -7,6 +7,8 @@ of calling scattered ``build`` classmethods directly.  Callers that want
 several variants over identical samples pass a shared ``estimation=`` (the
 baselines and the explicit minimizer constructions) or ``data=`` (the
 MWST / MWSA / grid variants) through :func:`build_index`'s keyword options.
+A sharded build refuses both: each shard derives its own stages from its
+slice of the source.
 """
 
 from __future__ import annotations

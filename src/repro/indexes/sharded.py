@@ -135,7 +135,6 @@ class ShardedIndex(UncertainStringIndex):
         shard_count: int = 1,
         workers: int | None = None,
         max_pattern_len: int | None = None,
-        estimation=None,  # noqa: ARG003 — accepted for harness symmetry
         **options,
     ) -> "ShardedIndex":
         """Build ``shard_count`` per-chunk indexes of ``kind`` (in parallel).
@@ -144,11 +143,19 @@ class ShardedIndex(UncertainStringIndex):
         the largest supported query length; it defaults to ``2·ell`` for the
         minimizer kinds (covering the workloads of the paper's figures) and
         must be given explicitly for the baselines.  ``workers`` > 1 builds
-        the shards in that many processes.  A shared ``estimation`` is
-        accepted for call-site symmetry with the monolithic builds but
-        ignored: each shard estimates its own chunk.
+        the shards in that many processes.  Whole-string stages
+        (``estimation=`` / ``data=``) raise :class:`ConstructionError`: each
+        shard estimates and samples its own chunk, and indexing the whole
+        string's leaves against a slice would answer wrongly.
         """
         from .registry import get_spec
+
+        for stage in ("estimation", "data"):
+            if options.pop(stage, None) is not None:
+                raise ConstructionError(
+                    f"a sharded build cannot use a whole-string {stage}=; "
+                    "each shard builds its own from its chunk"
+                )
 
         spec = get_spec(kind)  # validate the inner kind up front
         if spec.needs_ell and ell is None:

@@ -43,9 +43,12 @@ class MicroBatcher:
     before it fires join the pending batch, and reaching ``max_batch``
     flushes immediately.  Each flush answers the whole batch with one
     ``query_many(..., provenance=True)`` call and resolves every waiter
-    with its ``(result, origin, generation)`` triple — the service
-    generation is read under the same lock as the execution, so the tag
-    can never name a generation the answer was not computed against.
+    with its ``(result, origin, generation, exec_micros)`` tuple — the
+    service generation is read under the same lock as the execution, so the
+    tag can never name a generation the answer was not computed against,
+    and ``exec_micros`` is the wall time of that ``query_many`` call (of the
+    request's own call on the per-request fallback), so a caller can split
+    its latency into waiting and executing.
 
     A request that fails *inside* a flush (despite admission-time
     validation) must not poison its co-batched neighbours: on a batch
@@ -106,22 +109,20 @@ class MicroBatcher:
     async def submit(self, query):
         """Answer one request, coalescing it with concurrent ones.
 
-        Returns ``(QueryResult, origin, generation)`` with origin one of
-        ``"cache"`` / ``"dedup"`` / ``"miss"``; raises whatever the
-        execution raised for *this* request.
+        Returns ``(QueryResult, origin, generation, exec_micros)`` with
+        origin one of ``"cache"`` / ``"dedup"`` / ``"miss"``; raises
+        whatever the execution raised for *this* request.
         """
         if not self._enabled:
             async with self._lock:
-                results, origins = self._service.query_many(
-                    [query], provenance=True
-                )
+                results, origins, exec_micros = self._execute([query])
                 generation = self._service.generation
             self._batches += 1
             self._batched_requests += 1
             self._largest_batch = max(self._largest_batch, 1)
             if self._on_batch is not None:
                 self._on_batch(1)
-            return results[0], origins[0], generation
+            return results[0], origins[0], generation, exec_micros
         future = asyncio.get_running_loop().create_future()
         self._pending.append((query, future))
         if len(self._pending) >= self._max_batch:
@@ -160,21 +161,25 @@ class MicroBatcher:
             # the answers are distributed.
             queries = [query for query, _ in batch]
             try:
-                results, origins = self._service.query_many(
-                    queries, provenance=True
-                )
+                results, origins, exec_micros = self._execute(queries)
             except Exception:
                 self._resolve_individually(batch)
             else:
                 generation = self._service.generation
                 for (_, future), result, origin in zip(batch, results, origins):
                     if not future.done():
-                        future.set_result((result, origin, generation))
+                        future.set_result((result, origin, generation, exec_micros))
         self._batches += 1
         self._batched_requests += len(batch)
         self._largest_batch = max(self._largest_batch, len(batch))
         if self._on_batch is not None:
             self._on_batch(len(batch))
+
+    def _execute(self, queries: list) -> tuple[list, list, float]:
+        """``query_many(..., provenance=True)`` plus its wall time in microseconds."""
+        started = time.perf_counter()
+        results, origins = self._service.query_many(queries, provenance=True)
+        return results, origins, 1e6 * (time.perf_counter() - started)
 
     def _resolve_individually(
         self, batch: list[tuple[object, asyncio.Future]]
@@ -182,16 +187,14 @@ class MicroBatcher:
         """Fallback after a failed batch: each request succeeds or fails alone."""
         for query, future in batch:
             try:
-                results, origins = self._service.query_many(
-                    [query], provenance=True
-                )
+                results, origins, exec_micros = self._execute([query])
             except Exception as error:  # noqa: BLE001 - routed to the waiter
                 if not future.done():
                     future.set_exception(error)
             else:
                 if not future.done():
                     future.set_result(
-                        (results[0], origins[0], self._service.generation)
+                        (results[0], origins[0], self._service.generation, exec_micros)
                     )
 
 

@@ -4,7 +4,8 @@ Both front-ends speak the same JSON request shapes over a
 :class:`~repro.service.QueryService`:
 
 * a **query** object carries ``pattern`` plus optional ``mode`` / ``k`` /
-  ``z`` / ``zs`` fields;
+  ``z`` / ``zs`` fields (``zs`` a JSON list; ``z`` and every ``zs`` entry
+  numbers, ``k`` an integer — bools and strings are refused, never coerced);
 * an **update** list carries ``{"position": ..., "distribution": {...}}``
   objects (or bare ``[position, distribution]`` pairs).
 
@@ -15,7 +16,7 @@ rejected identically whether it arrives on stdin or over HTTP.
 
 from __future__ import annotations
 
-from ..errors import ReproError
+from ..errors import QueryError, ReproError
 from ..indexes import Query
 
 __all__ = ["query_from_payload", "parse_updates"]
@@ -39,6 +40,9 @@ def query_from_payload(payload: dict) -> Query:
     if pattern is None:
         raise ReproError("a JSON request needs a 'pattern' field")
     zs = payload.get("zs")
+    if zs is not None and not isinstance(zs, list):
+        # ``tuple("48")`` would sweep z = 4 and z = 8.
+        raise QueryError(f"zs must be a JSON list of numbers, got {zs!r}")
     return Query(
         pattern,
         mode=payload.get("mode", "locate"),

@@ -545,7 +545,7 @@ class HttpServer:
         self._inflight += 1
         try:
             started = time.perf_counter()
-            result, origin, generation = await asyncio.wait_for(
+            result, origin, generation, exec_micros = await asyncio.wait_for(
                 self._batcher.submit(query), self._request_timeout
             )
             micros = 1e6 * (time.perf_counter() - started)
@@ -564,7 +564,11 @@ class HttpServer:
             self._inflight -= 1
         response = result.as_dict()
         response["cached"] = origin != "miss"
+        # ``micros`` spans admission to answer; ``exec_micros`` is the
+        # query_many call that answered it, the rest is batch window and lock.
         response["micros"] = round(micros, 3)
+        response["exec_micros"] = round(exec_micros, 3)
+        response["wait_micros"] = round(micros - exec_micros, 3)
         response["generation"] = generation
         return 200, response, "application/json", ()
 

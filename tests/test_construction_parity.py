@@ -238,7 +238,7 @@ def test_sort_parity_with_tiny_widening_limits(monkeypatch):
 
 
 def test_sort_parity_beyond_byte_packing():
-    """Alphabets too wide for byte-packed keys use the int-column radix path."""
+    """Letters ≥ 254 widen the packed keys to 2 bytes per letter; the sort is the same."""
     rng = np.random.default_rng(21)
     sigma = 300
     n = 60
@@ -252,7 +252,7 @@ def test_sort_parity_beyond_byte_packing():
     source = WeightedString(matrix, alphabet, normalize=True)
     data = build_index_data_from_estimation(source, 3.0, 2)
     assert len(data.forward) > 0
-    assert data.forward._max_letter_code() + 1 >= 255
+    assert data.forward._letter_bytes == 2
     assert_explicit_data(data)
 
 
@@ -266,25 +266,20 @@ def test_merge_carries_search_caches():
     piece = [int(code) for code in source.heavy_codes()[:ell]]
     data.forward.prefix_range_many([piece])
     assert data.forward._search_keys is not None
-    cached_width = data.forward._search_width
     rng = np.random.default_rng(5)
     position = int(rng.integers(0, len(source)))
     row = np.zeros(source.sigma)
     row[int(rng.integers(source.sigma))] = 1.0
     report = index.apply_updates([(position, row)])
-    if report.strategy == "localized":
-        merged = index.data.forward
-        if merged._search_keys is not None:
-            # The fast two-run merge re-keys at (at least) the presort
-            # prefix width, so the carried cache can be wider than the
-            # query-seeded one — never narrower.
-            assert merged._search_width >= cached_width
-            assert len(merged._search_keys) == len(merged)
-            # The carried keys must equal a from-scratch recomputation.
-            fresh = build_index(source, z, kind="MWSA", ell=ell).data.forward
-            fresh._batch_search_keys(merged._search_width)
-            assert np.array_equal(merged._search_keys, fresh._search_keys)
-    # Whatever the strategy, answers must stay oracle-exact.
+    assert report.strategy == "localized"
+    merged = index.data.forward
+    assert merged._search_keys is not None
+    assert len(merged._search_keys) == len(merged)
+    # The carried keys must equal a from-scratch build's.
+    fresh = build_index(source, z, kind="MWSA", ell=ell).data.forward
+    fresh.prefix_range_many([piece])
+    assert np.array_equal(merged._search_keys, fresh._search_keys)
+    # Answers must stay oracle-exact.
     fresh = build_index(source, z, kind="MWSA", ell=ell)
     patterns = random_patterns(source, ell, 99)
     assert index.match_many(patterns) == fresh.match_many(patterns)

@@ -5,6 +5,8 @@ builds, sweeps, series rendering) at a very small scale and check the
 paper's qualitative claims on the resulting rows.
 """
 
+import math
+
 import pytest
 
 from repro.bench.experiments import (
@@ -13,6 +15,8 @@ from repro.bench.experiments import (
     fig07,
     fig08,
     fig09,
+    fig10,
+    fig11,
     fig12,
     fig13,
     fig14,
@@ -114,6 +118,15 @@ class TestConstructionSpaceExperiments:
             if z == micro_scale.default_z(dataset):
                 se, explicit = point["MWST-SE"], point["MWSA"]
                 assert se["construction_space_mb"] < explicit["construction_space_mb"]
+
+
+class TestQueryTimeExperiments:
+    @pytest.mark.parametrize("experiment", [fig10, fig11], ids=["fig10", "fig11"])
+    def test_every_row_times_its_queries(self, micro_scale, experiment):
+        rows = experiment(micro_scale).rows
+        assert {"MWSA", "MWST"} <= {row["index"] for row in rows}
+        for row in rows:
+            assert math.isfinite(row["avg_query_us"]) and row["avg_query_us"] > 0, row
 
 
 class TestConstructionTimeExperiments:

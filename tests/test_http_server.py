@@ -204,6 +204,33 @@ class TestRoutes:
 
         run(scenario())
 
+    def test_malformed_query_parameters_are_400_naming_the_field(self, index):
+        """Once coerced: ``zs="24"`` swept z = 2 and 4, ``z=true`` ran at 1.0, ``k=2.7`` at 2."""
+
+        async def scenario():
+            server, service, client, _ = await started_server(index)
+            pattern = [0, 1, 0, 0]
+            cases = (
+                ({"pattern": pattern, "zs": "24"}, "zs"),
+                ({"pattern": pattern, "z": True}, "z"),
+                ({"pattern": pattern, "mode": "topk", "k": 2.7}, "k"),
+            )
+            for payload, field in cases:
+                response = await client.request("POST", "/query", payload)
+                assert response.status == 400, payload
+                assert response.json()["error"].startswith(f"{field} must be"), payload
+            batch = await client.request(
+                "POST", "/query/batch", {"queries": [payload for payload, _ in cases]}
+            )
+            assert batch.status == 200
+            for item, (_, field) in zip(batch.json()["results"], cases):
+                assert item["error"].startswith(f"{field} must be")
+            assert service.stats()["queries"] == 0
+            await client.close()
+            await server.shutdown()
+
+        run(scenario())
+
     def test_batch_endpoint_mixes_results_and_per_item_errors(self, index):
         async def scenario():
             server, service, client, _ = await started_server(index)
@@ -336,6 +363,26 @@ class TestMicroBatching:
 
         run(scenario())
 
+    @pytest.mark.parametrize("batching", [True, False])
+    def test_micros_split_into_wait_and_exec(self, index, batching):
+        async def scenario():
+            server, _, client, _ = await started_server(
+                index, batching=batching, batch_window=0.002
+            )
+            for pattern in ([0, 1, 0, 0], [1, 0, 1, 1], [0, 1, 0, 0]):
+                response = await client.request("POST", "/query", {"pattern": pattern})
+                assert response.status == 200
+                body = response.json()
+                assert body["exec_micros"] >= 0.0 and body["wait_micros"] >= 0.0
+                assert abs(body["exec_micros"] + body["wait_micros"] - body["micros"]) <= 0.002
+                if batching and not body["cached"]:
+                    # A batched miss waits out the window before executing.
+                    assert body["wait_micros"] > 0.0
+            await client.close()
+            await server.shutdown()
+
+        run(scenario())
+
     def test_max_batch_flushes_early(self, index):
         async def scenario():
             service = QueryService(index)
@@ -350,7 +397,7 @@ class TestMicroBatching:
                 ),
                 timeout=5.0,
             )
-            assert [origin for _, origin, _ in results].count("miss") == 1
+            assert [origin for _, origin, _, _ in results].count("miss") == 1
             assert batcher.stats()["largest_batch"] == 4
 
         run(scenario())
@@ -374,8 +421,9 @@ class TestMicroBatching:
                 batcher.submit(good), batcher.submit(bad), return_exceptions=True
             )
             assert isinstance(results[1], PatternError)
-            result, _, _ = results[0]
+            result, _, _, exec_micros = results[0]
             assert result.positions == index.locate([0, 1, 0, 0])
+            assert exec_micros >= 0.0
 
         run(scenario())
 

@@ -28,6 +28,7 @@ from repro.indexes import (
     build_index,
 )
 from repro.io.store import load_index, save_index
+from repro.service.protocol import query_from_payload
 
 VARIANTS = ("WST", "WSA", "MWST", "MWSA", "MWST-G", "MWSA-G", "MWST-SE", "SHARDED")
 Z = 4.0
@@ -122,6 +123,33 @@ class TestQueryModel:
     def test_non_integer_k_rejected(self):
         with pytest.raises(QueryError, match="k must be an integer"):
             Query([0], mode="topk", k="x")
+
+    def test_malformed_parameters_refused_not_coerced(self):
+        """``zs="48"`` once swept z = 4 and 8, ``z=True`` ran at 1.0, ``k=2.7`` at 2."""
+        with pytest.raises(QueryError, match="zs must be a list"):
+            Query([0], zs="48")
+        with pytest.raises(QueryError, match="zs must be a number"):
+            Query([0], zs=(2.0, True))
+        with pytest.raises(QueryError, match="z must be a number"):
+            Query([0], z=True)
+        with pytest.raises(QueryError, match="z must be a number"):
+            Query([0], z="4")
+        with pytest.raises(QueryError, match="k must be an integer"):
+            Query([0], mode="topk", k=2.7)
+        with pytest.raises(QueryError, match="k must be an integer"):
+            Query([0], mode="topk", k=True)
+        assert Query([0], mode="topk", k=2.0).k == 2
+        assert Query([0], zs=[2, 4.5]).zs == (2.0, 4.5)
+
+    def test_wire_payloads_refuse_the_same_parameters(self):
+        for payload, field in (
+            ({"pattern": "ACGT", "zs": "48"}, "zs"),
+            ({"pattern": "ACGT", "zs": 4}, "zs"),
+            ({"pattern": "ACGT", "z": True}, "z"),
+            ({"pattern": "ACGT", "mode": "topk", "k": 2.7}, "k"),
+        ):
+            with pytest.raises(QueryError, match=f"^{field} must be"):
+                query_from_payload(payload)
 
     def test_options_with_prebuilt_query_rejected(self, indexes):
         index = indexes["MWSA"]

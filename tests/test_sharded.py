@@ -225,6 +225,36 @@ class TestSharedStages:
         with pytest.raises(ConstructionError):
             build_index(source, 4, kind="MWSA", ell=5, data=data)
 
+    def test_sharded_build_refuses_whole_string_data(self, random_weighted_string_factory):
+        """Each shard would index the whole string's leaves against its slice."""
+        source = _source(random_weighted_string_factory, n=200)
+        data = build_index_data_from_estimation(source, 4, 4)
+        with pytest.raises(ConstructionError, match="data="):
+            build_index(source, 4, kind="MWSA", ell=4, shards=3, max_pattern_len=8, data=data)
+
+    def test_sharded_build_refuses_whole_string_estimation(
+        self, random_weighted_string_factory
+    ):
+        source = _source(random_weighted_string_factory, n=200)
+        estimation = build_z_estimation(source, 4)
+        with pytest.raises(ConstructionError, match="estimation="):
+            build_index(
+                source, 4, kind="MWSA", ell=4, shards=3, max_pattern_len=8,
+                estimation=estimation,
+            )
+
+    def test_data_over_another_source_length_or_z_rejected(
+        self, random_weighted_string_factory
+    ):
+        source = _source(random_weighted_string_factory, n=200)
+        data = build_index_data_from_estimation(source, 4, 4)
+        shorter = _source(random_weighted_string_factory, n=120)
+        with pytest.raises(ConstructionError, match="n=200"):
+            build_index(shorter, 4, kind="MWSA", ell=4, data=data)
+        with pytest.raises(ConstructionError, match="z=4"):
+            build_index(source, 2, kind="MWSA", ell=4, data=data)
+        assert build_index(source, 4, kind="MWSA", ell=4, data=data).data is data
+
     def test_minimizer_kinds_require_ell(self, random_weighted_string_factory):
         source = _source(random_weighted_string_factory)
         assert build_index(source, 4, kind="WSA").locate([0]) is not None
