@@ -129,8 +129,12 @@ class UpdateReport:
     ``strategy`` names the repair path taken (``"noop"``, ``"full-rebuild"``,
     ``"localized"`` for the minimizer indexes' leaf-level re-derivation,
     ``"dirty-shards"`` for the sharded index); ``details`` carries
-    strategy-specific counters (re-derived leaf counts, rebuilt shard ids,
-    ...) consumed by tests, benchmarks and the serving layer's responses.
+    strategy-specific counters consumed by tests, benchmarks and the
+    serving layer's responses: the estimation replay (``replayed_from``,
+    ``converged_at``) and ``rederived_leaves`` of a minimizer index, or a
+    sharded index's ``rebuilt_shards`` (the dirty shard numbers),
+    ``clean_shards`` and ``shard_repairs`` — one entry per dirty shard with
+    that shard's own strategy, replay and re-derived leaf count.
     """
 
     positions: list[int]
@@ -273,7 +277,8 @@ class UncertainStringIndex(abc.ABC):
         narrower strategies: the minimizer indexes re-derive only the leaves
         whose derivation actually changed (at least the ``2ℓ−1`` window of
         minimizer windows around each touched position, extended by
-        estimation ripple), the sharded index rebuilds only dirty shards.
+        estimation ripple), the sharded index hands the update to its dirty
+        shards, each of which runs its own repair.
         """
         from .registry import rebuild_in_place
 

@@ -41,7 +41,7 @@ from functools import cached_property, cmp_to_key
 
 import numpy as np
 
-from ..core.estimation import ZEstimation, build_z_estimation, resume_z_estimation
+from ..core.estimation import ZEstimation, build_z_estimation
 from ..core.heavy import HeavyString
 from ..core.weighted_string import WeightedString
 from ..errors import ConstructionError
@@ -1360,39 +1360,36 @@ def _updated_minimizer_positions(
 def apply_updates_to_data(
     data: MinimizerIndexData,
     positions,
+    new_estimation: ZEstimation,
     *,
     max_dirty_fraction: float = 0.25,
 ) -> tuple[MinimizerIndexData, dict] | None:
     """Localized repair of minimizer index data after point updates.
 
-    ``data.source`` must already carry the new rows.  The old and new
-    derivations are diffed exactly: the z-estimation is re-derived — resumed
-    from the last builder checkpoint at-or-before the first updated position
-    when the old estimation carries checkpoints, replayed from 0 otherwise —
-    and the expensive leaf machinery (per-leaf derivation, sorting, adjacent
-    LCPs) is only re-run for leaves whose derivation actually changed: the
+    ``data.source`` must already carry the new rows, and ``new_estimation``
+    is the z-estimation of the mutated string (in practice
+    :func:`~repro.core.estimation.resume_z_estimation` of ``data``'s own,
+    resumed from its last checkpoint at-or-before the first updated
+    position).  The old and new derivations are diffed exactly, and the
+    expensive leaf machinery (per-leaf derivation, sorting, adjacent LCPs)
+    is only re-run for leaves whose derivation actually changed: the
     minimizer windows within ``2ℓ−1`` positions of a touched row plus
     whatever the estimation ripple reaches (property ends crossing an
     updated position, re-assigned estimation letters).  Every surviving leaf
     is reused verbatim, so the result is leaf-for-leaf identical to a fresh
     build over the mutated string.
 
-    Returns ``(new_data, details)``, or ``None`` when the data cannot be
-    repaired locally (space-efficient construction, store-loaded data
-    without its estimation, or a dirty set so large a full rebuild is
-    cheaper) — callers then fall back to a full rebuild.
+    Returns ``(new_data, details)``, or ``None`` when the repair declines
+    because the dirty leaves are so many that re-sorting them all is
+    cheaper than merging; the caller then rebuilds over ``new_estimation``,
+    which is bit-identical to a fresh one, instead of estimating again.
     """
-    if data.construction != "estimation" or data.estimation is None:
-        return None
     source = data.source
     scheme = data.scheme
     ell = data.ell
     n = len(source)
     old_estimation = data.estimation
     updated = np.asarray(sorted({int(p) for p in positions}), dtype=np.int64)
-    new_estimation, replay_info = resume_z_estimation(
-        old_estimation, source, data.z, updated
-    )
     if (
         new_estimation.width != old_estimation.width
         or new_estimation.length != old_estimation.length
@@ -1415,6 +1412,9 @@ def apply_updates_to_data(
 
     dirty: set[tuple[int, int]] = set()
     fresh_specs: list[tuple[int, int]] = []
+    # Past this many dirty leaves re-sorting them all beats merging; the
+    # set only grows, so the diff stops as soon as it is crossed.
+    dirty_limit = max(64, max_dirty_fraction * max(1, len(data.forward)))
     window_starts = np.arange(max(n - ell + 1, 0), dtype=np.int64)
     for j in range(new_estimation.width):
         string_old = old_estimation.strings[j]
@@ -1453,10 +1453,8 @@ def apply_updates_to_data(
             for q in retained[~(forward_same & backward_same) | letters_hit]:
                 dirty.add((j, int(q)))
                 fresh_specs.append((j, int(q)))
-
-    total_leaves = max(1, len(data.forward))
-    if len(dirty) > 64 and len(dirty) > max_dirty_fraction * total_leaves:
-        return None
+        if len(dirty) > dirty_limit:
+            return None
 
     fresh_forward_parts: list[LeafArrays] = []
     fresh_backward_parts: list[LeafArrays] = []
@@ -1520,6 +1518,5 @@ def apply_updates_to_data(
         "rederived_leaves": len(fresh_specs),
         "dropped_leaves": len(dirty) - len(fresh_specs),
         "reused_leaves": len(forward) - len(fresh_specs),
-        **replay_info,
     }
     return new_data, details

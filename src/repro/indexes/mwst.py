@@ -19,14 +19,18 @@ from __future__ import annotations
 
 import time
 
-from ..core.estimation import ZEstimation
+from ..core.estimation import ZEstimation, resume_z_estimation
 from ..core.weighted_string import WeightedString
 from ..errors import ConstructionError
 from ..geometry.grid import Grid2D
 from ..sampling.minimizers import MinimizerScheme
 from .base import UncertainStringIndex
 from .engine import locate_minimizer_batch
-from .minimizer_core import MinimizerIndexData, build_index_data_from_estimation
+from .minimizer_core import (
+    MinimizerIndexData,
+    apply_updates_to_data,
+    build_index_data_from_estimation,
+)
 from .space import DEFAULT_SPACE_MODEL, ConstructionTracker, IndexStats, SpaceModel
 from .verification import verify_against_source
 
@@ -131,20 +135,31 @@ class MinimizerIndexBase(UncertainStringIndex):
 
     # -- updates ----------------------------------------------------------------------------
     def _rebuild_updated(self, positions) -> dict:
-        """Localized repair: re-derive only the leaves an update touched.
+        """Localized repair: resume the estimation, re-derive only changed leaves.
 
+        The z-estimation resumes from its last checkpoint at or before the
+        first updated position, then
         :func:`~repro.indexes.minimizer_core.apply_updates_to_data` diffs the
         old and new derivations and rebuilds only the affected leaves (plus
-        the query caches on top); when the data cannot be repaired locally —
-        space-efficient construction, store-loaded data, or updates dirtying
-        most of the index — it returns ``None`` and the universal
-        full-rebuild strategy takes over.
+        the query caches on top).  Data without an estimation to resume —
+        the space-efficient construction, stores written before estimations
+        were persisted — takes the universal full rebuild.  When the diff
+        dirties most of the leaves the repair declines, and the index is
+        rebuilt over the already-resumed estimation (bit-identical to a
+        fresh one) instead of estimating a second time.
         """
-        from .minimizer_core import apply_updates_to_data
+        from .registry import rebuild_in_place
 
-        outcome = apply_updates_to_data(self._data, positions)
+        data = self._data
+        if data.construction != "estimation" or data.estimation is None:
+            return rebuild_in_place(self)
+        estimation, replay = resume_z_estimation(
+            data.estimation, data.source, data.z, positions
+        )
+        outcome = apply_updates_to_data(data, positions, estimation)
         if outcome is None:
-            return super()._rebuild_updated(positions)
+            details = rebuild_in_place(self, estimation=estimation)
+            return {**details, "rederived_leaves": len(self._data.forward), **replay}
         data, details = outcome
         self._data = data
         self._forward_trie = self._backward_trie = None
@@ -158,7 +173,7 @@ class MinimizerIndexBase(UncertainStringIndex):
         self._stats.counters.update(
             {key: data.counters[key] for key in ("forward_leaves", "backward_leaves")}
         )
-        return details
+        return {**details, **replay}
 
     # -- queries ----------------------------------------------------------------------------
     @property

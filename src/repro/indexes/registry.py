@@ -123,15 +123,18 @@ def build_index(
     return spec.cls.build(source, z, **options)
 
 
-def rebuild_in_place(index: UncertainStringIndex) -> dict:
+def rebuild_in_place(index: UncertainStringIndex, *, estimation=None) -> dict:
     """Re-derive an index over its (mutated) source, adopting the result.
 
     The universal repair strategy behind
     :meth:`UncertainStringIndex.apply_updates`: build a fresh index of the
     same registered kind over ``index.source`` and transplant its state into
     the live object, so planners, engines and services holding a reference
-    keep working.  Nothing cached is reused — shared construction stages
-    (estimations, leaf data) would be stale after an update.
+    keep working.  Nothing the index cached is reused — its estimation and
+    leaf data are stale after an update — but a caller that already
+    re-derived the z-estimation of the mutated string passes it as
+    ``estimation`` so the build does not estimate a second time (the
+    space-efficient construction ignores it).
     """
     spec = REGISTRY.get(index.name)
     if spec is None or type(index) is not spec.cls:
@@ -144,7 +147,7 @@ def rebuild_in_place(index: UncertainStringIndex) -> dict:
             "registered (register it or override _rebuild_updated)"
         )
     ell = index.minimum_pattern_length if spec.needs_ell else None
-    options = {}
+    options = {} if estimation is None else {"estimation": estimation}
     if spec.needs_ell:
         # Keep the index's construction parameters: rebuilding with a default
         # minimizer scheme would silently change what the user built (and
@@ -154,7 +157,7 @@ def rebuild_in_place(index: UncertainStringIndex) -> dict:
         if scheme is not None:
             options["scheme"] = scheme
     fresh = spec.cls.build(index.source, index.z, ell, **options) if spec.needs_ell else (
-        spec.cls.build(index.source, index.z)
+        spec.cls.build(index.source, index.z, **options)
     )
     generation = index.generation
     index.__dict__.update(fresh.__dict__)

@@ -91,7 +91,9 @@ class ShardedIndex(UncertainStringIndex):
 
     Built through :meth:`build` (or ``build_index(..., shards=N)``); answers
     are bit-identical to the equivalent monolithic index for every pattern of
-    length in ``[minimum_pattern_length, max_pattern_len]``.
+    length in ``[minimum_pattern_length, max_pattern_len]``.  An update is
+    routed to the shards whose range it touches, and each of them repairs
+    itself with its own strategy (see :meth:`_rebuild_updated`).
     """
 
     name = "SHARDED"
@@ -106,8 +108,6 @@ class ShardedIndex(UncertainStringIndex):
         max_pattern_len: int,
         stats: IndexStats,
         *,
-        ell: int | None = None,
-        build_options: dict | None = None,
         generations: list[int] | None = None,
     ) -> None:
         super().__init__(source, z)
@@ -116,8 +116,6 @@ class ShardedIndex(UncertainStringIndex):
         self._kind = kind
         self._max_pattern_len = max_pattern_len
         self._stats = stats
-        self._ell = ell
-        self._build_options = dict(build_options or {})
         self._generations = (
             list(generations) if generations is not None else [0] * len(shards)
         )
@@ -207,10 +205,7 @@ class ShardedIndex(UncertainStringIndex):
                 "shard_lengths": [shard.length for shard in shards],
             },
         )
-        return cls(
-            source, z, shards, indexes, kind, max_pattern_len, stats,
-            ell=ell, build_options=options,
-        )
+        return cls(source, z, shards, indexes, kind, max_pattern_len, stats)
 
     # -- shape ------------------------------------------------------------------------
     @property
@@ -230,7 +225,7 @@ class ShardedIndex(UncertainStringIndex):
 
     @property
     def generations(self) -> list[int]:
-        """Per-shard rebuild generations (bumped by dirty-shard updates).
+        """Per-shard generations, bumped each time an update repairs the shard.
 
         The binary store stamps these into saved sharded indexes so a
         persisted index can be refreshed shard by shard: only shards whose
@@ -266,46 +261,51 @@ class ShardedIndex(UncertainStringIndex):
                 dirty.append(number)
         return dirty
 
-    def _infer_ell(self) -> int | None:
-        """The per-shard ``ell`` for rebuilds (recovered for loaded indexes)."""
-        if self._ell is not None:
-            return self._ell
-        from .registry import get_spec
-
-        if get_spec(self._kind).needs_ell and self._indexes:
-            self._ell = self._indexes[0].minimum_pattern_length
-        return self._ell
-
     def _rebuild_updated(self, positions) -> dict:
-        """Dirty-shard repair: rebuild only the shards an update touched.
+        """Dirty-shard repair: each dirty shard repairs itself, locally.
 
+        Every shard whose covered range holds an updated position (see
+        :meth:`dirty_shards`) receives the parent's new rows at shard-local
+        positions and runs its own repair: a minimizer shard resumes its
+        estimation from its own checkpoints and re-derives only the leaves
+        that changed, the other kinds rebuild themselves in place.  The rows
+        go in bit for bit (``normalize=False``): they were coerced once, by
+        the parent, and normalising them again could move a last ulp and
+        make the shard's probabilities differ from the monolithic ones.
         Clean shards keep their structures untouched — their slice of the
         probability matrix did not change — so the merged answers stay
-        bit-identical to a full rebuild over the mutated string while the
-        work is proportional to the number of dirty shards.
+        bit-identical to a full rebuild over the mutated string.
+
+        ``shard_repairs`` reports each dirty shard's own strategy
+        (``localized`` or ``full-rebuild``), where its estimation replay
+        started (``replayed_from``) and reconverged (``converged_at``, both
+        shard-local; ``None`` when not applicable) and how many leaves it
+        re-derived.
         """
         dirty = self.dirty_shards(positions)
-        ell = self._infer_ell()
-        options = dict(self._build_options)
-        if dirty and "scheme" not in options:
-            # Store-loaded indexes arrive without their build options; reuse
-            # the live shards' minimizer scheme so a dirty rebuild cannot
-            # drift from the clean shards' construction parameters.
-            scheme = getattr(getattr(self._indexes[dirty[0]], "data", None), "scheme", None)
-            if scheme is not None:
-                options["scheme"] = scheme
-                self._build_options = options
+        matrix = self._source.matrix
+        repairs = []
         for number in dirty:
             shard = self._shards[number]
-            self._indexes[number] = _build_shard(
-                (
-                    self._source.matrix[shard.start : shard.end],
-                    self._source.alphabet,
-                    self._z,
-                    self._kind,
-                    ell,
-                    options,
-                )
+            index = self._indexes[number]
+            local = [
+                position - shard.start
+                for position in positions
+                if shard.start <= position < shard.end
+            ]
+            index.source.apply_updates(
+                [(position, matrix[shard.start + position]) for position in local],
+                normalize=False,
+            )
+            details = index._rebuild_updated(local)
+            repairs.append(
+                {
+                    "shard": number,
+                    "strategy": details.get("strategy", "full-rebuild"),
+                    "replayed_from": details.get("replayed_from"),
+                    "converged_at": details.get("converged_at"),
+                    "rederived_leaves": details.get("rederived_leaves"),
+                }
             )
             self._generations[number] += 1
         self._stats.index_size_bytes = sum(
@@ -316,6 +316,7 @@ class ShardedIndex(UncertainStringIndex):
             "strategy": "dirty-shards",
             "rebuilt_shards": dirty,
             "clean_shards": len(self._shards) - len(dirty),
+            "shard_repairs": repairs,
         }
 
     # -- queries ----------------------------------------------------------------------

@@ -905,8 +905,8 @@ def save_sharded_store(directory, index) -> None:
     """Write a sharded index as a directory: one container file per shard.
 
     Each shard file is a regular single-index store (reloadable on its own),
-    stamped in ``manifest.json`` with the shard plan and the shard's rebuild
-    generation.  The per-file layout is what makes dirty-shard persistence
+    stamped in ``manifest.json`` with the shard plan and the shard's
+    generation (bumped each time an update repairs the shard).  The per-file layout is what makes dirty-shard persistence
     possible: :func:`refresh_sharded_store` rewrites only shards whose
     generation moved, leaving clean shard files byte-identical on disk.
     """

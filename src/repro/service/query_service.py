@@ -29,6 +29,91 @@ __all__ = ["QueryService"]
 #: Default number of cached results (a few MB for typical occurrence lists).
 DEFAULT_CACHE_SIZE = 1024
 
+#: Most log-probabilities one invalidation probe gathers at once (8 MB of
+#: float64).  A cache of long patterns probed over a wide ranged update
+#: would otherwise gather keys × starts × length entries in one go.
+PROBE_BLOCK_ELEMENTS = 1 << 20
+
+
+def _cache_key(codes: np.ndarray, query: Query) -> tuple:
+    """The cache key of a query whose pattern coerced to ``codes``."""
+    return (codes.tobytes(), query.mode, query.k, query.z, query.zs)
+
+
+def _window_sums(log_matrix: np.ndarray, codes: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``ln P`` of each pattern at each start, as a ``(patterns × starts)`` block.
+
+    ``codes`` holds equal-length patterns, one per row.  Every
+    ``(pattern, start)`` window sums its gathered log-probabilities the way
+    :meth:`~repro.core.weighted_string.WeightedString.occurrence_log_probabilities`
+    does, so the sums are bit-identical to it.  Patterns and starts are
+    gathered in chunks of at most :data:`PROBE_BLOCK_ELEMENTS` entries (one
+    window per chunk for a pattern longer than that).
+    """
+    count, length = codes.shape
+    sums = np.empty((count, len(starts)), dtype=np.float64)
+    if not len(starts):
+        return sums
+    sigma = log_matrix.shape[1]
+    flat = log_matrix.reshape(-1)
+    # Flat offset of each pattern letter within its window, and of each start.
+    cells = np.arange(length, dtype=np.int64) * sigma + codes
+    bases = starts * sigma
+    start_step = max(1, PROBE_BLOCK_ELEMENTS // length)
+    key_step = max(1, PROBE_BLOCK_ELEMENTS // (length * min(len(starts), start_step)))
+    for first_start in range(0, len(starts), start_step):
+        block_bases = bases[first_start : first_start + start_step, None]
+        for first_key in range(0, count, key_step):
+            block = cells[first_key : first_key + key_step, None, :] + block_bases
+            sums[
+                first_key : first_key + key_step, first_start : first_start + len(block_bases)
+            ] = flat[block].sum(axis=2)
+    return sums
+
+
+class _InvalidationProbe:
+    """One exact invalidation probe over every cached key.
+
+    An update at position ``u`` can only change a length-``m`` pattern's
+    answer at the starts whose window covers ``u``
+    (:func:`~repro.indexes.base.affected_pattern_starts`).  The keys are
+    grouped by pattern length; :meth:`sums` gathers each group's window
+    sums over those starts in one block per group (see
+    :func:`_window_sums`), and :meth:`stale` names exactly the keys whose
+    sums differ between a probe of the old and one of the new rows.
+    """
+
+    def __init__(self, keys, positions, n: int) -> None:
+        by_length: dict[int, list[tuple]] = {}
+        for key in keys:
+            # key[0] is the pattern's int64 codes as bytes, 8 per letter.
+            by_length.setdefault(len(key[0]) // 8, []).append(key)
+        self._groups = [
+            (
+                group,
+                np.frombuffer(b"".join(key[0] for key in group), dtype=np.int64).reshape(
+                    len(group), length
+                ),
+                affected_pattern_starts(length, positions, n),
+            )
+            for length, group in by_length.items()
+        ]
+
+    def sums(self, source) -> list[np.ndarray]:
+        """Every group's window sums over ``source``'s current rows."""
+        return [
+            _window_sums(source.log_matrix, codes, starts)
+            for _, codes, starts in self._groups
+        ]
+
+    def stale(self, before: list[np.ndarray], after: list[np.ndarray]) -> list[tuple]:
+        """The keys with at least one window sum that is not bit-identical."""
+        stale = []
+        for (group, _, _), old, new in zip(self._groups, before, after):
+            changed = (old != new).any(axis=1)
+            stale.extend(key for key, hit in zip(group, changed.tolist()) if hit)
+        return stale
+
 
 class QueryService:
     """Serving front-end: normalization, deduplication and an LRU result cache.
@@ -72,11 +157,12 @@ class QueryService:
         self._updates = 0
         self._invalidations = 0
         self._rewarms = 0
-        # Warm-log queries remembered by ``warm(..., remember=True)`` so the
-        # cache entries an update invalidates can be re-executed immediately
-        # (see :meth:`rewarm`) instead of degrading the first post-update
-        # request wave into planner misses.
-        self._warm_set: list[Query] = []
+        # Warm-log queries remembered by ``warm(..., remember=True)``, keyed
+        # by cache key in warm-rank order, so the cache entries an update
+        # invalidates can be looked up and re-executed immediately (see
+        # :meth:`rewarm`) instead of degrading the first post-update request
+        # wave into planner misses.
+        self._warm_set: dict[tuple, tuple[int, Query]] = {}
         # A worker respawned mid-run starts at the cluster's current
         # generation, not 0, so its responses tag the store state they
         # actually serve.
@@ -192,7 +278,7 @@ class QueryService:
         cached valid pattern and silently be served that entry's answer.
         """
         codes = coerce_pattern_array(query.pattern, self._index.source)
-        return (codes.tobytes(), query.mode, query.k, query.z, query.zs)
+        return _cache_key(codes, query)
 
     def validate(self, request) -> Query:
         """Normalize and fully validate one request without executing it.
@@ -204,6 +290,10 @@ class QueryService:
         invalid request individually instead of poisoning the whole batch
         it would have been coalesced into.
         """
+        return self._validated(request)[0]
+
+    def _validated(self, request) -> tuple[Query, np.ndarray]:
+        """:meth:`validate`, plus the pattern's coerced letter codes."""
         query = request if isinstance(request, Query) else Query(request)
         codes = coerce_pattern_array(query.pattern, self._index.source)
         self._index._prepare_pattern(codes)
@@ -218,7 +308,7 @@ class QueryService:
                     f"z={index_z:g}; occurrences with probability below "
                     f"1/{index_z:g} are not indexed"
                 )
-        return query
+        return query, codes
 
     def warm(self, patterns, *, top: int | None = None, remember: bool = False) -> dict:
         """Pre-populate the cache by replaying patterns from a query log.
@@ -259,49 +349,56 @@ class QueryService:
             enumerate(counts.values()), key=lambda item: (-item[1][0], item[0])
         )
         warm_set = []
+        keys: dict[tuple, tuple[int, Query]] = {}
         skipped = 0
         for _, (_, pattern) in ranked:
             if len(warm_set) >= limit:
                 break
             try:
-                warm_set.append(self.validate(pattern))
+                query, codes = self._validated(pattern)
             except (ReproError, ValueError, TypeError):
                 skipped += 1
+                continue
+            keys.setdefault(_cache_key(codes, query), (len(warm_set), query))
+            warm_set.append(query)
         for start in range(0, len(warm_set), 256):
             self.query_many(warm_set[start : start + 256])
         if remember:
-            self._warm_set = list(warm_set)
+            self._warm_set = keys
         return {"warmed": len(warm_set), "skipped": skipped, "patterns_seen": seen}
 
     def rewarm(self, invalidated) -> int:
         """Re-execute the remembered warm patterns among ``invalidated`` cache keys.
 
         Called by :meth:`update` / :meth:`adopt_index` with the keys their
-        invalidation removed.  Only warm patterns whose entry was
-        invalidated are re-executed and re-cached, so the first post-update
-        request wave hits the cache for them; entries the LRU evicted
-        earlier stay evicted.  Patterns that no longer validate against the
-        current index are dropped from the warm set.  Returns how many
-        patterns were re-executed.
+        invalidation removed.  Each key is looked up in the remembered warm
+        set, so the work grows with the invalidated keys, not with the warm
+        set.  Only warm patterns whose entry was invalidated are
+        re-validated, re-executed (in warm-rank order) and re-cached, so the
+        first post-update request wave hits the cache for them; entries the
+        LRU evicted earlier stay evicted.  A pattern that no longer validates
+        against the current index is dropped from the warm set.  Returns how
+        many patterns were re-executed.
         """
         if not invalidated or not self._warm_set or not self._cache_enabled:
             return 0
-        invalidated = set(invalidated)
-        pending: list[Query] = []
-        kept: list[Query] = []
-        for query in self._warm_set:
-            try:
-                query = self.validate(query)
-            except (ReproError, ValueError, TypeError):
+        pending: list[tuple[int, Query]] = []
+        for key in invalidated:
+            entry = self._warm_set.get(key)
+            if entry is None:
                 continue
-            kept.append(query)
-            if self._key(query) in invalidated:
-                pending.append(query)
-        self._warm_set = kept
-        for start in range(0, len(pending), 256):
-            self.query_many(pending[start : start + 256])
-        self._rewarms += len(pending)
-        return len(pending)
+            try:
+                self.validate(entry[1])
+            except (ReproError, ValueError, TypeError):
+                del self._warm_set[key]
+                continue
+            pending.append(entry)
+        pending.sort(key=lambda entry: entry[0])
+        queries = [query for _, query in pending]
+        for start in range(0, len(queries), 256):
+            self.query_many(queries[start : start + 256])
+        self._rewarms += len(queries)
+        return len(queries)
 
     def adopt_index(self, new_index, *, positions=(), generation=None) -> dict:
         """Swap in a reloaded index, invalidating stale cache entries exactly.
@@ -323,15 +420,8 @@ class QueryService:
         if len(new_source) != len(old_source) or not positions:
             stale = list(self._cache)
         else:
-            n = len(new_source)
-            stale = []
-            for key in self._cache:
-                codes = np.frombuffer(key[0], dtype=np.int64)
-                starts = affected_pattern_starts(len(codes), positions, n)
-                before = old_source.occurrence_log_probabilities(codes, starts)
-                after = new_source.occurrence_log_probabilities(codes, starts)
-                if not np.array_equal(before, after):
-                    stale.append(key)
+            probe = _InvalidationProbe(self._cache, positions, len(new_source))
+            stale = probe.stale(probe.sums(old_source), probe.sums(new_source))
         for key in stale:
             self._cache.pop(key, None)
         self._index = new_index
@@ -384,22 +474,14 @@ class QueryService:
         # before anything mutates (the raw updates are re-coerced inside
         # apply_updates; coercion is deterministic, so the rows agree).
         positions = sorted({p for p, _ in source.coerce_updates(updates)})
-        probes: list[tuple[tuple, np.ndarray, np.ndarray]] = []
-        if positions and self._cache:
-            for key in self._cache:
-                codes = np.frombuffer(key[0], dtype=np.int64)
-                starts = affected_pattern_starts(len(codes), positions, n)
-                probes.append(
-                    (key, starts, source.occurrence_log_probabilities(codes, starts))
-                )
+        # The old sums are taken before the rows change: the source (and its
+        # log-probability cache) is patched in place.
+        probe = _InvalidationProbe(self._cache if positions else (), positions, n)
+        before = probe.sums(source)
         report = self._index.apply_updates(updates)
-        stale = []
-        for key, starts, before in probes:
-            codes = np.frombuffer(key[0], dtype=np.int64)
-            after = source.occurrence_log_probabilities(codes, starts)
-            if not np.array_equal(before, after):
-                self._cache.pop(key, None)
-                stale.append(key)
+        stale = probe.stale(before, probe.sums(source))
+        for key in stale:
+            self._cache.pop(key, None)
         self._updates += 1
         self._invalidations += len(stale)
         self._generation += 1
