@@ -24,6 +24,7 @@ Installed as the ``repro-uncertain`` console script.  Ten sub-commands:
 * ``verify-store`` — audit a store file or directory without modifying it:
   container and per-array checksums, torn write-ahead-log tails, committed
   but unapplied updates, leftover temp files; exit 1 when damage is found;
+  the report also gives the bytes of each section per file and in total;
 * ``recover``     — bring a directory store back to a consistent state
   after a crash: sweep temp files, truncate torn WAL tails, quarantine
   corrupt shards and fall back to intact siblings, replay committed
@@ -316,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify = subparsers.add_parser(
         "verify-store",
         help="audit a store (file or directory) without modifying it: "
-        "checksums, torn WAL tails, unapplied updates, temp leftovers",
+        "checksums, torn WAL tails, unapplied updates, temp leftovers; "
+        "reports bytes per section",
     )
     verify.add_argument(
         "--store", required=True,

@@ -145,6 +145,9 @@ class ZEstimation:
         ``(⌊z⌋ × n)`` array of letter codes; row ``j`` is ``S_j``.
     ends:
         ``(⌊z⌋ × n)`` array of inclusive property ends; row ``j`` is ``π_j``.
+        Both are ``int64`` when built; an estimation loaded from a store
+        holds them as stored — the narrowest unsigned type that holds
+        ``σ - 1`` and ``int32`` — and every reader accepts either.
     z:
         The weight threshold parameter.
     checkpoints:
@@ -212,8 +215,12 @@ class ZEstimation:
         return int(self.ends[j, start]) >= start + length - 1
 
     def count(self, pattern, position: int) -> int:
-        """``Count_S(P, i)``: property-respecting occurrences at one position."""
-        pattern = np.asarray(pattern, dtype=self.strings.dtype)
+        """``Count_S(P, i)``: property-respecting occurrences at one position.
+
+        Codes are compared as ``int64``, so a code outside the alphabet
+        matches nothing even when the strings are stored narrower.
+        """
+        pattern = np.asarray(pattern, dtype=np.int64)
         m = len(pattern)
         if m == 0:
             return self.width
@@ -226,7 +233,7 @@ class ZEstimation:
 
     def occurrences(self, pattern) -> list[int]:
         """Positions where the pattern occurs (respecting properties) in ≥ 1 string."""
-        pattern = np.asarray(pattern, dtype=self.strings.dtype)
+        pattern = np.asarray(pattern, dtype=np.int64)
         m = len(pattern)
         positions = []
         for start in range(self.length - m + 1):

@@ -30,6 +30,24 @@ __all__ = ["WeightedString"]
 _ROW_SUM_TOLERANCE = 1e-6
 
 
+def _check_entries(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise WeightedStringError(
+            "probabilities must be finite (no NaN or infinity)"
+        )
+    if np.any(values < 0.0):
+        raise WeightedStringError("probabilities must be non-negative")
+
+
+def _check_row_sums(sums: np.ndarray) -> None:
+    if np.any(np.abs(sums - 1.0) > _ROW_SUM_TOLERANCE):
+        worst = int(np.argmax(np.abs(sums - 1.0)))
+        raise WeightedStringError(
+            f"row {worst} sums to {sums[worst]:.6f}, expected 1.0 "
+            "(pass normalize=True to rescale)"
+        )
+
+
 class WeightedString:
     """A weighted (uncertain) string: ``n`` distributions over ``Σ``.
 
@@ -52,7 +70,7 @@ class WeightedString:
     the half-open Python range ``[i-1, j)``.
     """
 
-    __slots__ = ("_probs", "_alphabet", "_log_probs", "_version")
+    __slots__ = ("_probs", "_alphabet", "_log_probs", "_version", "_sparse")
 
     def __init__(
         self,
@@ -71,12 +89,7 @@ class WeightedString:
                 f"matrix has {probs.shape[1]} columns but alphabet has "
                 f"{alphabet.size} letters"
             )
-        if not np.isfinite(probs).all():
-            raise WeightedStringError(
-                "probabilities must be finite (no NaN or infinity)"
-            )
-        if np.any(probs < 0.0):
-            raise WeightedStringError("probabilities must be non-negative")
+        _check_entries(probs)
         if probs.shape[0]:
             sums = probs.sum(axis=1)
             if normalize:
@@ -86,18 +99,18 @@ class WeightedString:
                         "cannot normalize rows whose probabilities sum to 0"
                     )
                 probs = probs / sums[:, None]
-            elif np.any(np.abs(sums - 1.0) > _ROW_SUM_TOLERANCE):
-                worst = int(np.argmax(np.abs(sums - 1.0)))
-                raise WeightedStringError(
-                    f"row {worst} sums to {sums[worst]:.6f}, expected 1.0 "
-                    "(pass normalize=True to rescale)"
-                )
-        probs = np.ascontiguousarray(probs)
+            else:
+                _check_row_sums(sums)
+        self._adopt(np.ascontiguousarray(probs), alphabet)
+
+    def _adopt(self, probs: np.ndarray, alphabet: Alphabet) -> None:
+        """Install an already validated, C-contiguous matrix."""
         probs.setflags(write=False)
         self._probs = probs
         self._alphabet = alphabet
         self._log_probs = None  # lazily filled log-probability cache
         self._version = 0  # bumped by every applied update batch
+        self._sparse = None  # the CSR rows this string was decoded from
 
     # ------------------------------------------------------------------ #
     # constructors                                                        #
@@ -145,6 +158,45 @@ class WeightedString:
         matrix[np.arange(len(codes)), codes] = 1.0
         return cls(matrix, alphabet)
 
+    @classmethod
+    def from_sparse_rows(
+        cls, rows: np.ndarray, codes: np.ndarray, probabilities: np.ndarray,
+        alphabet: Alphabet,
+    ) -> "WeightedString":
+        """Decode the CSR rows of :meth:`sparse_rows` with one scatter.
+
+        The triple is kept as given (memory-mapped arrays stay mapped) and
+        :meth:`sparse_rows` returns it until an update replaces rows.  The
+        constructor's checks run on the entries, not on the dense matrix.
+        A malformed triple — row pointer not running from 0 to the entry
+        count, entries out of order or repeated, codes outside the
+        alphabet — raises :class:`~repro.errors.WeightedStringError`.
+        """
+        sigma = alphabet.size
+        n = len(rows) - 1
+        counts = np.diff(rows.astype(np.int64, copy=False))
+        if (
+            n < 0
+            or rows[0] != 0
+            or rows[-1] != len(codes)
+            or len(probabilities) != len(codes)
+            or (counts < 0).any()
+            or (len(codes) and int(codes.max()) >= sigma)
+        ):
+            raise WeightedStringError("malformed sparse rows")
+        row_ids = np.repeat(np.arange(n, dtype=np.int64), counts)
+        flat = row_ids * sigma + codes
+        if (np.diff(flat) <= 0).any():
+            raise WeightedStringError("sparse row entries out of order")
+        _check_entries(probabilities)
+        _check_row_sums(np.bincount(row_ids, weights=probabilities, minlength=n))
+        matrix = np.zeros((n, sigma), dtype=np.float64)
+        matrix.reshape(-1)[flat] = probabilities
+        string = cls.__new__(cls)
+        string._adopt(matrix, alphabet)
+        string._sparse = (rows, codes, probabilities)
+        return string
+
     # ------------------------------------------------------------------ #
     # basic accessors                                                     #
     # ------------------------------------------------------------------ #
@@ -185,6 +237,26 @@ class WeightedString:
             logs.setflags(write=False)
             self._log_probs = logs
         return self._log_probs
+
+    def sparse_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The matrix as CSR rows: ``(rows, codes, probabilities)``.
+
+        Row ``i``'s entries are ``codes[rows[i]:rows[i+1]]`` (ascending)
+        with their ``probabilities``.  An entry is kept when its bit
+        pattern is not all zeros, so ``-0.0`` and subnormals round-trip
+        bit for bit.  ``rows`` is ``int32`` while the entry count fits,
+        ``codes`` the narrowest unsigned type that holds ``σ - 1``.
+        Returns the decoded triple of :meth:`from_sparse_rows` as it was
+        given, until an update replaces rows.
+        """
+        if self._sparse is not None:
+            return self._sparse
+        bits = self._probs.view(np.uint64)
+        flat = np.flatnonzero(bits)
+        rows = np.zeros(len(self) + 1, dtype=np.int32 if len(flat) < 2**31 else np.int64)
+        np.cumsum(np.count_nonzero(bits, axis=1), out=rows[1:])
+        codes = (flat % self.sigma).astype(np.min_scalar_type(self.sigma - 1))
+        return rows, codes, self._probs.reshape(-1)[flat]
 
     def probability(self, position: int, code: int) -> float:
         """``p_position(code)``: probability of a letter code at a position."""
@@ -446,6 +518,7 @@ class WeightedString:
             probs[position] = row
         probs.setflags(write=False)
         self._probs = probs
+        self._sparse = None
         positions = sorted({position for position, _ in pairs})
         if self._log_probs is not None:
             logs = self._writable_rows(self._log_probs)
@@ -456,6 +529,34 @@ class WeightedString:
             self._log_probs = logs
         self._version += 1
         return positions
+
+    def spliced(self, blocks) -> "WeightedString":
+        """A new string with blocks of rows replaced; this one is untouched.
+
+        ``blocks`` holds ``(start, rows)`` pairs: ``rows`` become the
+        distributions of positions ``start, start + 1, ...`` bit for bit.
+        Only the new rows are validated.  A computed log-probability cache
+        is carried over, and only the replaced rows' logs are recomputed,
+        the way :meth:`apply_updates` patches it.
+        """
+        probs = np.array(self._probs)
+        spans = []
+        for start, rows in blocks:
+            rows = np.asarray(rows, dtype=np.float64)
+            _check_entries(rows)
+            _check_row_sums(rows.sum(axis=1))
+            probs[start : start + len(rows)] = rows
+            spans.append((start, start + len(rows)))
+        spliced = WeightedString.__new__(WeightedString)
+        spliced._adopt(probs, self._alphabet)
+        if self._log_probs is not None:
+            logs = np.array(self._log_probs)
+            with np.errstate(divide="ignore"):
+                for start, stop in spans:
+                    logs[start:stop] = np.log(probs[start:stop])
+            logs.setflags(write=False)
+            spliced._log_probs = logs
+        return spliced
 
     def update_position(self, position: int, distribution, *, normalize: bool = True) -> int:
         """Replace one position's distribution in place (see :meth:`apply_updates`)."""

@@ -17,8 +17,30 @@ bytes   content
 ...     64-byte-aligned raw array blobs (C order, native dtypes)
 ======  ====================================================================
 
-Version-1 containers (magic ``b"RPROIDX\\n"``, no checksums) are still
-readable; everything written here is version 2.
+Version 3 — everything written here — keeps the source and the
+z-estimation in the narrowest types that hold them:
+
+=================  ==========================================================
+array              content
+=================  ==========================================================
+``source.rows``    CSR row pointer (``n + 1`` entries): ``int32`` while the
+                   entry count is below 2³¹, else ``int64``
+``source.codes``   the letter codes of each row's entries, ascending:
+                   ``uint8`` while ``σ ≤ 256``, else ``uint16`` (``uint32``
+                   past 65,536 letters)
+``source.probs``   their ``float64`` probabilities; an entry is kept when its
+                   bit pattern is not zero, so ``-0.0`` and subnormals
+                   round-trip bit for bit
+``est.strings``    the ``(⌊z⌋ × n)`` family in the narrowest unsigned type
+                   that holds ``σ - 1``
+``est.ends``       its property ends: ``int32`` while ``n < 2³¹``
+=================  ==========================================================
+
+Every other array keeps the dtype it is built with.  Version-2 containers
+(a dense ``float64`` ``source`` matrix, an ``int64`` estimation) and
+version-1 ones (magic ``b"RPROIDX\\n"``, no checksums) are still readable; a
+version-2 directory store refreshed after an update holds version-2 clean
+shards beside version-3 rewritten ones.
 
 Durability: every container and manifest write goes through a temp file in
 the same directory, ``flush → fsync → os.replace`` and a directory fsync,
@@ -29,17 +51,24 @@ shard rewrites; :func:`recover_sharded_store` rolls committed-but-unapplied
 updates forward, discards torn tail records, and quarantines corrupt shard
 files.  :func:`verify_store` audits a store without modifying it.
 
-Arrays are loaded with :func:`numpy.memmap` by default, so the probability
-matrix and the leaf/suffix arrays stay on disk until touched; pass
-``mmap=False`` to read everything into RAM.  Checksums are verified on
-RAM loads by default and skipped on mmap loads (pass ``verify=...`` to
-override either way).  Nothing expensive is re-run on load: the CSR
-compacted-trie arrays and the range-tree grid levels are persisted
-alongside the leaf/suffix arrays and rehydrated directly, so only the tiny
-range-maximum table of the baselines is derived from loaded data.  Stores
-written before the trie/grid arrays existed still load — the extra arrays
-are presence-gated on the manifest, and missing ones fall back to the old
-re-derivation path.  Unknown magic numbers, formats or versions raise
+Arrays are loaded with :func:`numpy.memmap` by default, so the leaf/suffix
+arrays and the estimation stay on disk until touched; pass ``mmap=False`` to
+read everything into RAM.  The source is the one array decoded on load: its
+rows are scattered once into the dense read-only ``float64`` matrix every
+layer reads, which is per-process memory (``8·n·σ`` bytes).  The mapped CSR
+triple stays on the :class:`~repro.core.weighted_string.WeightedString`
+until an update replaces rows, so :func:`stored_arrays` still returns
+mapped arrays.  The mapped estimation goes to
+:class:`~repro.core.estimation.ZEstimation` in its stored types, and the
+update path (estimation resume, leaf diff) reads it as is.  Checksums are
+verified on RAM loads by default and skipped on mmap loads (pass
+``verify=...`` to override either way).  Nothing expensive is re-run on
+load: the CSR compacted-trie arrays and the range-tree grid levels are
+persisted alongside the leaf/suffix arrays and rehydrated directly, so only
+the tiny range-maximum table of the baselines is derived from loaded data.
+Stores written before the trie/grid arrays existed still load — the extra
+arrays are presence-gated on the manifest, and missing ones fall back to the
+old re-derivation path.  Unknown magic numbers, formats or versions raise
 :class:`~repro.errors.StoreFormatError`; damaged files raise
 :class:`~repro.errors.StoreCorruptionError` naming the file, section and
 (for checksum mismatches) offset plus expected/actual digests.
@@ -62,6 +91,7 @@ from ..errors import (
     StoreCorruptionError,
     StoreError,
     StoreFormatError,
+    WeightedStringError,
 )
 from ..faultinject import failpoint
 from ..sampling.minimizers import MinimizerScheme
@@ -86,6 +116,7 @@ __all__ = [
     "SHARDED_STORE_FORMAT",
     "SHARDED_STORE_VERSION",
     "WAL_NAME",
+    "SECTIONS",
 ]
 
 _MAGIC = b"RPROIDX2"
@@ -93,8 +124,8 @@ _MAGIC_V1 = b"RPROIDX\n"
 _ALIGNMENT = 64
 
 STORE_FORMAT = "repro.index_store"
-STORE_VERSION = 2
-_SUPPORTED_VERSIONS = (1, 2)
+STORE_VERSION = 3
+_SUPPORTED_VERSIONS = (1, 2, 3)
 
 SHARDED_STORE_FORMAT = "repro.sharded_store"
 SHARDED_STORE_VERSION = 1
@@ -198,6 +229,34 @@ def _write_container(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     _atomic_write(path, write_body, "store.container")
 
 
+#: The sections :func:`verify_store` reports bytes for, in report order.
+SECTIONS = (
+    "header", "source", "estimation", "checkpoints", "leaves", "trie", "grid",
+    "pairs", "property_arrays",
+)
+
+
+def _section_of(name: str) -> str:
+    """The section of a stored array (shard prefixes ``s3.`` ignored)."""
+    parts = name.split(".")
+    while parts[0][:1] == "s" and parts[0][1:].isdigit():
+        parts = parts[1:]
+    head = parts[0]
+    if head == "source":
+        return "source"
+    if head == "est":
+        return "checkpoints" if parts[1] == "cp" else "estimation"
+    if "trie" in parts or (head in ("fwd", "bwd") and parts[-1] == "lcp"):
+        return "trie"  # the leaves' adjacent LCPs are stored for the trie
+    if head in ("fwd", "bwd"):
+        return "leaves"
+    if head == "ps":
+        return "property_arrays"
+    if head in ("grid", "pairs"):
+        return head
+    return "other"
+
+
 class _Container:
     """A parsed store file: the header plus lazy array access.
 
@@ -269,6 +328,7 @@ class _Container:
                 f"{header.get('version')!r} (supported: {supported})"
             )
         self.meta = header["meta"]
+        self.file_size = file_size
         self._manifest = header["arrays"]
         if magic == _MAGIC:
             self._data_start = _align(len(_MAGIC) + 8 + 4 + header_length)
@@ -339,6 +399,24 @@ class _Container:
                     )
         return problems
 
+    def section_bytes(self) -> dict[str, int]:
+        """The file's bytes by section; they sum to the file size.
+
+        ``header`` runs up to the first blob; each array is charged from its
+        offset to the next blob's, so alignment padding counts with the
+        array before it.
+        """
+        blobs = sorted(
+            ((int(spec["offset"]), name) for name, spec in self._manifest.items()),
+            key=lambda blob: blob[0],
+        )
+        bounds = [offset for offset, _ in blobs] + [self.file_size - self._data_start]
+        sections = {"header": self._data_start + bounds[0]}
+        for (_, name), lo, hi in zip(blobs, bounds, bounds[1:]):
+            section = _section_of(name)
+            sections[section] = sections.get(section, 0) + hi - lo
+        return sections
+
     def has(self, name: str) -> bool:
         """Whether the store holds an array called ``name``.
 
@@ -405,15 +483,23 @@ def _unpack_collection(container: _Container, prefix: str, reference, lcps=None)
 def _pack_estimation(arrays: dict, prefix: str, estimation) -> None:
     """Persist the z-estimation family plus its builder checkpoints.
 
-    The family itself is two dense ``(⌊z⌋ × n)`` arrays.  Checkpoints are
+    The family itself is two dense ``(⌊z⌋ × n)`` arrays, written in the
+    narrowest types that hold them: the codes unsigned (``σ - 1`` fits),
+    the property ends (``-1 .. n - 1``) ``int32`` while ``n < 2³¹``.  An
+    estimation loaded in those types passes through uncopied.  Checkpoints are
     variable-size (one flattened group tree each), so they are packed as one
     CSR block over all checkpoints: per-node segment/member *counts* instead
     of per-checkpoint offset arrays, with ``node_start`` delimiting each
     checkpoint's node slice.  The per-checkpoint ``seg_start``/``mem_start``
     offsets are recomputed by cumulative sums on load.
     """
-    arrays[f"{prefix}est.strings"] = estimation.strings
-    arrays[f"{prefix}est.ends"] = estimation.ends
+    sigma = estimation.alphabet.size
+    arrays[f"{prefix}est.strings"] = estimation.strings.astype(
+        np.min_scalar_type(sigma - 1), copy=False
+    )
+    arrays[f"{prefix}est.ends"] = estimation.ends.astype(
+        np.int32 if estimation.length < 2**31 else np.int64, copy=False
+    )
     checkpoints = estimation.checkpoints
     positions = np.asarray([c.position for c in checkpoints], dtype=np.int64)
     arrays[f"{prefix}est.cp.position"] = positions
@@ -537,7 +623,7 @@ def _stats_from_meta(meta: dict):
 
 
 def _pack_body(index, arrays: dict, prefix: str) -> dict:
-    """Pack one index's artefacts (everything but its source matrix)."""
+    """Pack one index's artefacts (everything but its source)."""
     from ..indexes.mwst import MinimizerIndexBase
     from ..indexes.sharded import ShardedIndex
     from ..indexes.wsa import WeightedSuffixArray
@@ -778,13 +864,36 @@ def _unpack_sharded(container: _Container, meta: dict, prefix: str, source, z: f
 
 
 # --------------------------------------------------------------------------- #
+# the source                                                                   #
+# --------------------------------------------------------------------------- #
+def _pack_source(arrays: dict, source: WeightedString) -> None:
+    rows, codes, probabilities = source.sparse_rows()
+    arrays["source.rows"] = rows
+    arrays["source.codes"] = codes
+    arrays["source.probs"] = probabilities
+
+
+def _unpack_source(container: _Container, alphabet: Alphabet) -> WeightedString:
+    """The stored source: CSR rows (version 3) or the dense matrix (1–2)."""
+    if container.has("source"):
+        return WeightedString(container.array("source"), alphabet)
+    arrays = [container.array(f"source.{name}") for name in ("rows", "codes", "probs")]
+    try:
+        return WeightedString.from_sparse_rows(*arrays, alphabet)
+    except WeightedStringError as exc:
+        raise StoreCorruptionError(
+            container.path, "source rows", f"is corrupt: {exc}"
+        ) from exc
+
+
+# --------------------------------------------------------------------------- #
 # public API                                                                   #
 # --------------------------------------------------------------------------- #
 def save_index(path, index) -> None:
     """Write a built index (monolithic or sharded) to a store file."""
     arrays: dict[str, np.ndarray] = {}
     body = _pack_body(index, arrays, "")
-    arrays["source"] = index.source.matrix
+    _pack_source(arrays, index.source)
     meta = {
         "z": index.z,
         "alphabet": list(index.source.alphabet.letters),
@@ -796,9 +905,10 @@ def save_index(path, index) -> None:
 def load_index(path, *, mmap: bool = True, verify: bool | None = None):
     """Reload a stored index; queries work immediately, nothing is rebuilt.
 
-    With ``mmap=True`` (the default) the stored arrays — including the
-    probability matrix — are memory-mapped read-only and paged in on first
-    use; ``mmap=False`` reads them into RAM instead.
+    With ``mmap=True`` (the default) the stored arrays are memory-mapped
+    read-only and paged in on first use; ``mmap=False`` reads them into RAM
+    instead.  Either way the source's sparse rows are decoded once into the
+    dense probability matrix.
 
     ``verify`` controls array checksum verification: ``None`` (default)
     verifies on RAM loads and skips on mmap loads (which would otherwise
@@ -810,8 +920,7 @@ def load_index(path, *, mmap: bool = True, verify: bool | None = None):
         verify = not mmap
     container = _Container(path, mmap, verify=verify)
     meta = container.meta
-    alphabet = Alphabet(meta["alphabet"])
-    source = WeightedString(container.array("source"), alphabet)
+    source = _unpack_source(container, Alphabet(meta["alphabet"]))
     return _unpack_body(container, meta["body"], "", source, float(meta["z"]))
 
 
@@ -821,7 +930,8 @@ def stored_arrays(index) -> dict[str, np.ndarray]:
     Returns the same ``{name: array}`` mapping :func:`save_index` would write,
     but referencing the index's *current* array objects — so after a
     ``load_index(..., mmap=True)`` round trip every entry should chain through
-    ``.base`` to a :class:`numpy.memmap`.  The ``pairs`` entry is one
+    ``.base`` to a :class:`numpy.memmap` — the ``source.*`` rows too, until an
+    update replaces rows of the source.  The ``pairs`` entry is one
     exception (re-materialized from Python tuples on both save and load) and
     the ``est.cp.*`` checkpoint blocks are the other (re-concatenated from
     the per-checkpoint objects on every pack), so neither is ever
@@ -830,7 +940,7 @@ def stored_arrays(index) -> dict[str, np.ndarray]:
     """
     arrays: dict[str, np.ndarray] = {}
     _pack_body(index, arrays, "")
-    arrays["source"] = index.source.matrix
+    _pack_source(arrays, index.source)
     return arrays
 
 
@@ -1271,11 +1381,18 @@ def recover_sharded_store(directory, *, mmap: bool = False):
 def verify_store(path) -> dict:
     """Audit a store (monolithic file or sharded directory) without changes.
 
-    Returns ``{"schema": "repro.verify.v1", "path", "ok", "problems"}`` with
-    one problem entry per damaged or suspicious artefact: corrupt container
-    headers or array blobs (full checksum pass), a torn WAL tail, committed
-    WAL updates not yet applied (run ``recover``), and leftover temp files.
-    Version-1 stores (no checksums) pass on structural checks alone.
+    Returns ``{"schema": "repro.verify.v1", "path", "ok", "problems",
+    "bytes"}`` with one problem entry per damaged or suspicious artefact:
+    corrupt container headers or array blobs (full checksum pass), a torn
+    WAL tail, committed WAL updates not yet applied (run ``recover``), and
+    leftover temp files.  Version-1 stores (no checksums) pass on structural
+    checks alone.
+
+    ``bytes`` accounts for every byte of the container files (the shard
+    files of a directory; its manifest and WAL are not counted):
+    ``{"total", "sections", "files": {name: {"total", "sections"}}}``, where
+    ``sections`` maps each of :data:`SECTIONS` to the bytes of its arrays,
+    alignment padding included, and sums to the total.
     """
     path = Path(path)
     report: dict = {
@@ -1283,6 +1400,7 @@ def verify_store(path) -> dict:
         "path": str(path),
         "ok": True,
         "problems": [],
+        "bytes": {"total": 0, "sections": dict.fromkeys(SECTIONS, 0), "files": {}},
     }
 
     def problem(file, section: str, error) -> None:
@@ -1299,6 +1417,14 @@ def verify_store(path) -> dict:
             return
         for issue in container.verify_arrays():
             problem(file, issue.section, issue)
+        sections = {**dict.fromkeys(SECTIONS, 0), **container.section_bytes()}
+        totals = report["bytes"]
+        totals["files"][Path(file).name] = {
+            "total": container.file_size, "sections": sections
+        }
+        totals["total"] += container.file_size
+        for section, size in sections.items():
+            totals["sections"][section] = totals["sections"].get(section, 0) + size
 
     if not path.is_dir():
         check_container(path)
@@ -1396,18 +1522,39 @@ def compact_store(directory) -> dict:
     }
 
 
-def _assemble_sharded(manifest: dict, shards, indexes, generations):
-    """Build the parent :class:`ShardedIndex` from loaded shard indexes."""
+def _assemble_sharded(manifest: dict, shards, indexes, generations, previous=None):
+    """Build the parent :class:`ShardedIndex` from loaded shard indexes.
+
+    The parent source is stacked from the shard cores.  Given the
+    ``previous`` parent of a reload with the same shard plan, it is that
+    parent's source with only the re-opened shards' core rows replaced,
+    and a log-probability cache the previous source computed is carried
+    over with only those rows recomputed.
+    """
     from ..indexes.sharded import ShardedIndex
     from ..indexes.space import IndexStats
 
     alphabet = Alphabet(manifest["alphabet"])
-    cores = [
-        index.source.matrix[: shard.core_end - shard.start]
-        for shard, index in zip(shards, indexes)
-    ]
-    matrix = np.vstack(cores) if cores else np.empty((0, alphabet.size))
-    source = WeightedString(matrix, alphabet)
+
+    def core(shard, index) -> np.ndarray:
+        return index.source.matrix[: shard.core_end - shard.start]
+
+    if (
+        previous is not None
+        and previous.shards == shards
+        and previous.source.alphabet == alphabet
+    ):
+        source = previous.source.spliced(
+            [
+                (shard.start, core(shard, index))
+                for shard, index, old in zip(shards, indexes, previous.shard_indexes)
+                if index is not old
+            ]
+        )
+    else:
+        cores = [core(shard, index) for shard, index in zip(shards, indexes)]
+        matrix = np.vstack(cores) if cores else np.empty((0, alphabet.size))
+        source = WeightedString(matrix, alphabet)
     stats = IndexStats(
         name=f"SHARDED[{manifest['kind']}]",
         index_size_bytes=sum(index.stats.index_size_bytes for index in indexes),
@@ -1464,9 +1611,11 @@ def reload_sharded_store(directory, previous, *, mmap: bool = True):
     object (and its live memory maps); only moved shards are re-opened from
     their (generation-stamped) files.  Returns ``(index, reloaded_numbers)``.
 
-    The parent probability matrix is reassembled from the shard cores, so the
-    swap is a plain object replacement — readers holding the previous index
-    keep a fully consistent view until they drop it.
+    The parent probability matrix is a copy of the previous one with only
+    the re-opened shards' core rows replaced (and its log-probability cache,
+    if computed, patched the same way), so the swap is a plain object
+    replacement — readers holding the previous index keep a fully consistent
+    view until they drop it.
     """
     from ..indexes.sharded import Shard
 
@@ -1494,4 +1643,5 @@ def reload_sharded_store(directory, previous, *, mmap: bool = True):
         else:
             indexes.append(load_index(directory / entry["file"], mmap=mmap))
             reloaded.append(number)
-    return _assemble_sharded(manifest, shards, indexes, generations), reloaded
+    index = _assemble_sharded(manifest, shards, indexes, generations, previous)
+    return index, reloaded

@@ -61,8 +61,9 @@ class TestRoundTrip:
         in_ram = load_index(path, mmap=False)
         patterns = _patterns(stored_source)
         assert mapped.match_many(patterns) == in_ram.match_many(patterns)
-        # The default load memory-maps the probability matrix from the file
-        # (WeightedString re-wraps the array, so check the buffer it's backed by).
+        # The default load memory-maps the stored source rows from the file
+        # (the dense matrix is decoded from them, so check the rows the
+        # WeightedString keeps and the buffer they are backed by).
         def file_backed(array) -> bool:
             while isinstance(array, np.ndarray):
                 if isinstance(array, np.memmap):
@@ -70,7 +71,8 @@ class TestRoundTrip:
                 array = array.base
             return array is not None and type(array).__name__ == "mmap"
 
-        assert file_backed(mapped.source.matrix)
+        assert all(file_backed(array) for array in mapped.source.sparse_rows())
+        assert not any(file_backed(array) for array in in_ram.source.sparse_rows())
         assert not file_backed(in_ram.source.matrix)
 
     def test_sharded_round_trip(self, tmp_path, stored_source):
