@@ -1,16 +1,17 @@
-"""Batch query throughput — vectorised ``match_many`` vs the per-pattern loop.
+"""Batch query throughput — one ``match_many`` call vs a ``locate`` loop.
 
-Not a paper figure: this benchmark tracks the serving-path speedup of the
-batch query engine.  The workload is a 1,000-pattern batch (70 % patterns
-sampled from the z-estimation, 30 % uniformly random) over the synthetic
-sparse-uncertainty dataset; the timed payloads are
+Not a paper figure: this benchmark tracks what answering a pattern batch at
+once saves over answering it one pattern at a time.  Both run the same query
+path (a single pattern is a batch of one).  The workload is a 1,000-pattern
+batch (70 % patterns sampled from the z-estimation, 30 % uniformly random)
+over the synthetic sparse-uncertainty dataset; the timed payloads are
 
-* ``per-pattern`` — ``[index.locate(p) for p in batch]``: the planner's
-  scalar strategy once per pattern, i.e. one leaf search per pattern (a
-  trie walk for MWST*, a one-piece packed-key search for MWSA*), a Python
-  candidate set and per-candidate verification;
+* ``per-pattern`` — ``[index.locate(p) for p in batch]``: the planner, the
+  minimizer, the leaf search and the verification once per pattern;
 * ``batch``       — one ``index.match_many(batch)`` call: deduplication, one
-  packed-key search over all pieces and bulk verification.
+  minimizer argmin and one bulk verification for the whole batch.  The leaf
+  search walks the tries once per searched piece on MWST / MWST-G and is
+  one packed-key search over all pieces on MWSA / MWSA-G.
 
 Run standalone; CI uses tiny parameters as a smoke test::
 

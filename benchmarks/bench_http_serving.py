@@ -12,8 +12,9 @@ production traffic), at several concurrency levels, in two configurations:
 
 The result cache is disabled in both configurations: the comparison
 isolates what *micro-batching* buys, not what the LRU cache buys (that is
-``bench_query_service.py``).  The standalone runner reports throughput and
-p50/p99 latency per row, asserts that micro-batching wins by at least
+the ``servemix`` experiment of ``python -m repro.bench``).  The standalone
+runner reports throughput and p50/p99 latency (nearest-rank quantiles of the
+raw per-request samples) per row, asserts that micro-batching wins by at least
 ``--min-speedup`` (default 2x) at the highest concurrency level, and
 finishes with a graceful-shutdown drain check: requests parked in an open
 batch window when ``shutdown()`` is called must all be answered, none
@@ -53,7 +54,6 @@ from repro.datasets.synthetic import sparse_uncertainty_string
 from repro.indexes import build_index
 from repro.service import QueryService
 from repro.service.client import AsyncHttpClient
-from repro.service.metrics import LATENCY_BUCKETS, Histogram
 from repro.service.server import HttpServer
 
 DEFAULT_LENGTH = 16_000
@@ -101,39 +101,13 @@ async def closed_loop(index, stream, concurrency: int, *, batching: bool,
         request_timeout=60.0,
     )
     host, port = await server.start("127.0.0.1", 0)
-    pending = deque(stream)
-    latencies = Histogram(LATENCY_BUCKETS)
-    errors = 0
-
-    async def client_loop() -> None:
-        nonlocal errors
-        client = await AsyncHttpClient.connect(host, port)
-        while True:
-            try:
-                pattern = pending.popleft()
-            except IndexError:
-                break
-            started = time.perf_counter()
-            response = await client.request("POST", "/query", {"pattern": pattern})
-            latencies.observe(time.perf_counter() - started)
-            if response.status != 200:
-                errors += 1
-        await client.close()
-
-    started = time.perf_counter()
-    await asyncio.gather(*(client_loop() for _ in range(concurrency)))
-    elapsed = time.perf_counter() - started
+    row = await drive_stream(host, port, stream, concurrency)
     batch_stats = server.server_stats()["batching"]
     await server.shutdown()
     return {
         "batching": batching,
         "concurrency": concurrency,
-        "requests": len(stream),
-        "errors": errors,
-        "elapsed_seconds": elapsed,
-        "requests_per_second": len(stream) / elapsed,
-        "p50_ms": 1e3 * latencies.quantile(0.5),
-        "p99_ms": 1e3 * latencies.quantile(0.99),
+        **row,
         "mean_batch_size": round(batch_stats["mean_batch_size"], 2),
         "largest_batch": batch_stats["largest_batch"],
     }
@@ -215,10 +189,16 @@ def store_mapping_bytes(pid: int, store_path: str) -> dict | None:
     return totals
 
 
+def quantile(samples, q: float) -> float:
+    """Nearest-rank quantile of the raw samples."""
+    ordered = sorted(samples)
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
+
+
 async def drive_stream(host: str, port: int, stream, concurrency: int) -> dict:
     """Drain a request stream against an already-running server."""
     pending = deque(stream)
-    latencies = Histogram(LATENCY_BUCKETS)
+    latencies: list[float] = []
     errors = 0
 
     async def client_loop() -> None:
@@ -231,7 +211,7 @@ async def drive_stream(host: str, port: int, stream, concurrency: int) -> dict:
                 break
             started = time.perf_counter()
             response = await client.request("POST", "/query", {"pattern": pattern})
-            latencies.observe(time.perf_counter() - started)
+            latencies.append(time.perf_counter() - started)
             if response.status != 200:
                 errors += 1
         await client.close()
@@ -244,8 +224,8 @@ async def drive_stream(host: str, port: int, stream, concurrency: int) -> dict:
         "errors": errors,
         "elapsed_seconds": elapsed,
         "requests_per_second": len(stream) / elapsed,
-        "p50_ms": 1e3 * latencies.quantile(0.5),
-        "p99_ms": 1e3 * latencies.quantile(0.99),
+        "p50_ms": 1e3 * quantile(latencies, 0.5),
+        "p99_ms": 1e3 * quantile(latencies, 0.99),
     }
 
 

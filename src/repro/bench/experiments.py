@@ -453,10 +453,13 @@ def shardscale(scale="tiny") -> ExperimentResult:
     Not a paper figure: this experiment tracks the scaling behaviour of the
     sharded index architecture.  Every configuration builds the same
     synthetic sparse-uncertainty input; the single-shard serial build is the
-    baseline every speedup column refers to.  The last rows measure the
-    binary index store: saving the largest sharded build, reloading it
-    (memory-mapped) and verifying the reloaded index answers a spot-check
-    query batch identically.
+    baseline every speedup column refers to, and ``matches_single`` checks
+    that each build answers a spot-check query batch exactly as it does.
+    ``faster_than_single`` checks that a build with at least four workers
+    beats it; it is ``None`` where that cannot apply (fewer workers, or a
+    machine with fewer than four cores).  The last rows measure the binary
+    index store: saving the largest sharded build, reloading it and
+    verifying the reloaded index answers the batch identically.
     """
     import os
     import tempfile
@@ -471,7 +474,9 @@ def shardscale(scale="tiny") -> ExperimentResult:
     patterns = query_workload(source, z, m=ell, count=scale.pattern_count, seed=0)
     rows = []
     baseline_seconds = None
-    built = None
+    expected = None
+    built = built_answers = None
+    cores = os.cpu_count() or 1
     for shard_count in scale.shard_counts:
         for workers in scale.shard_workers:
             if workers > shard_count:
@@ -485,9 +490,10 @@ def shardscale(scale="tiny") -> ExperimentResult:
                 shards=shard_count,
                 workers=workers,
             )
+            answers = index.match_many(patterns)
             if baseline_seconds is None:
-                baseline_seconds = seconds
-            built = index
+                baseline_seconds, expected = seconds, answers
+            built, built_answers = index, answers
             rows.append(
                 {
                     "dataset": "SYN-SPARSE",
@@ -499,6 +505,10 @@ def shardscale(scale="tiny") -> ExperimentResult:
                     "positions_per_second": len(source) / seconds if seconds else None,
                     "speedup_vs_single": baseline_seconds / seconds if seconds else None,
                     "index_size_mb": index.stats.index_size_bytes / 1e6,
+                    "matches_single": answers == expected,
+                    "faster_than_single": (
+                        seconds < baseline_seconds if workers >= 4 and cores >= 4 else None
+                    ),
                 }
             )
     store_rows = []
@@ -517,8 +527,7 @@ def shardscale(scale="tiny") -> ExperimentResult:
                     "save_seconds": save_seconds,
                     "load_seconds": load_seconds,
                     "loaded_query_seconds": query_seconds,
-                    "loaded_matches_built": loaded_results
-                    == built.match_many(patterns),
+                    "loaded_matches_built": loaded_results == built_answers,
                 }
             )
         finally:
@@ -526,7 +535,7 @@ def shardscale(scale="tiny") -> ExperimentResult:
     text = "Shard scaling — build throughput\n" + format_table(
         rows,
         ["shards", "workers", "construction_seconds", "positions_per_second",
-         "speedup_vs_single", "index_size_mb"],
+         "speedup_vs_single", "index_size_mb", "matches_single"],
     )
     if store_rows:
         text += "\nIndex store — save/load round trip\n" + format_table(

@@ -23,6 +23,7 @@ __all__ = [
     "measure_build",
     "measure_query_time",
     "peak_rss_bytes",
+    "process_memory",
     "smaps_rollup_bytes",
     "timed",
 ]
@@ -90,6 +91,22 @@ def smaps_rollup_bytes(pid: int | str = "self") -> dict[str, int] | None:
     values["shared"] = values.get("shared_clean", 0) + values.get("shared_dirty", 0)
     values["private"] = values.get("private_clean", 0) + values.get("private_dirty", 0)
     return values
+
+
+def process_memory() -> dict:
+    """The ``memory`` block of a serving process's ``/stats``.
+
+    ``peak_rss_bytes`` always (``None`` where unknowable), plus
+    ``shared_bytes`` / ``private_bytes`` / ``pss_bytes`` from
+    :func:`smaps_rollup_bytes` where the kernel exposes them.
+    """
+    memory = {"peak_rss_bytes": peak_rss_bytes()}
+    rollup = smaps_rollup_bytes()
+    if rollup is not None:
+        memory["shared_bytes"] = rollup["shared"]
+        memory["private_bytes"] = rollup["private"]
+        memory["pss_bytes"] = rollup.get("pss")
+    return memory
 
 
 def timed(function: Callable, *args, **kwargs):

@@ -677,7 +677,6 @@ def _command_query_batch(arguments) -> dict:
     throughput = {
         "patterns": stats.get("patterns", len(patterns)),
         "unique_patterns": stats.get("unique_patterns", len(patterns)),
-        "strategy": stats.get("strategy"),
         "total_occurrences": sum(result.count or 0 for result in results),
         "elapsed_seconds": elapsed,
         "patterns_per_second": len(patterns) / elapsed if elapsed > 0 else None,

@@ -105,8 +105,7 @@ def sample_zipf_workload(
     Draws ``count`` requests where the pattern of rank ``r`` (1-based, in
     pool order) is requested with probability proportional to ``1/r^s`` —
     the classic Zipf model of production query traffic, in which a few hot
-    patterns dominate.  This is the workload of the ``servemix`` experiment
-    and :mod:`benchmarks.bench_query_service`.
+    patterns dominate.  This is the workload of the ``servemix`` experiment.
     """
     if not patterns:
         raise DatasetError("the pattern pool of a Zipf workload cannot be empty")

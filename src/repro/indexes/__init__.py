@@ -20,9 +20,10 @@ SHARDED      Any of the above, built per overlapping chunk in parallel and
 Construction goes through the central factory in :mod:`.registry`
 (:func:`build_index`); built indexes persist
 through the binary store in :mod:`repro.io.store`.  Every query — any mode
-(``exists`` / ``count`` / ``locate`` / ``locate_probs`` / ``topk``), scalar
-or batched, on any variant — executes through the unified planner in
-:mod:`.query`; :mod:`repro.service` adds the cached serving layer on top.
+(``exists`` / ``count`` / ``locate`` / ``locate_probs`` / ``topk``), one
+pattern or a batch, on any variant — executes through the unified planner
+in :mod:`.query` as one batch; :mod:`repro.service` adds the cached serving
+layer on top.
 """
 
 from .base import (
@@ -34,7 +35,6 @@ from .base import (
     coerce_pattern,
     coerce_pattern_array,
 )
-from .engine import BatchQueryEngine, locate_minimizer_batch
 from .minimizer_core import (
     FactorLeaf,
     LeafCollection,
@@ -78,8 +78,6 @@ __all__ = [
     "UpdateReport",
     "affected_pattern_starts",
     "rebuild_in_place",
-    "BatchQueryEngine",
-    "locate_minimizer_batch",
     "brute_force_occurrences",
     "coerce_pattern",
     "coerce_pattern_array",

@@ -30,8 +30,8 @@ __all__ = [
     "EMPTY_PATTERN_MESSAGE",
 ]
 
-#: The one canonical complaint about empty patterns: scalar queries, batch
-#: queries and the brute-force oracle all raise ``PatternError`` with it.
+#: The one canonical complaint about empty patterns: every query entry point
+#: and the brute-force oracle raise ``PatternError`` with it.
 EMPTY_PATTERN_MESSAGE = "empty patterns are not supported"
 
 
@@ -40,10 +40,10 @@ def coerce_pattern_array(
 ) -> np.ndarray:
     """Convert a pattern given as text or as letter codes into a code array.
 
-    This is the one conversion routine shared by the scalar query path and
-    the batch engine; ``validate=False`` skips the per-letter range check so
-    batch callers can validate a whole batch with a single reduction (they
-    re-run the validating path on failure to raise the canonical error).
+    This is the one conversion routine of every query; ``validate=False``
+    skips the per-letter range check so the planner can validate a whole
+    batch with a single reduction (it re-runs the validating path on failure
+    to raise the canonical error).
 
     Coercion itself is always strict: non-integral letter codes (``0.9``,
     ``-0.5``, ``nan``) raise :class:`~repro.errors.PatternError` instead of
@@ -158,14 +158,15 @@ class UncertainStringIndex(abc.ABC):
     """Abstract base class of every index over a weighted string.
 
     Concrete indexes are constructed through their ``build`` classmethods and
-    implement one required strategy — :meth:`_locate_codes`, the scalar query
-    over validated letter codes — plus optional vectorised strategies
-    (:meth:`_batch_locate`, :meth:`_batch_locate_probs`).  Every public query
-    entry point (:meth:`locate` / :meth:`count` / :meth:`exists` /
+    implement one query hook, :meth:`_batch_locate`, over a batch of
+    validated, distinct letter-code patterns; :meth:`_batch_locate_probs`
+    (its probability-reporting twin) has a default built on it.  Every public
+    query entry point (:meth:`locate` / :meth:`count` / :meth:`exists` /
     :meth:`locate_probs` / :meth:`topk` / :meth:`query` / :meth:`query_many`
     / :meth:`match_many`) routes through the unified
-    :class:`~repro.indexes.query.QueryPlanner`, which validates patterns,
-    deduplicates them and picks a strategy.
+    :class:`~repro.indexes.query.QueryPlanner`, which validates and
+    deduplicates the patterns and hands them to one of the two hooks — a
+    single pattern is a batch of one.
     """
 
     #: Short display name used by the benchmark reports (e.g. ``"MWSA"``).
@@ -338,30 +339,23 @@ class UncertainStringIndex(abc.ABC):
     def match_many(self, patterns: Sequence) -> list[list[int]]:
         """Occurrence lists of a whole pattern batch, in input order.
 
-        Equivalent to ``[self.locate(p) for p in patterns]`` but routed
-        through the vectorised batch engine: duplicate patterns are answered
-        once, and index families with a batch strategy (``_batch_locate``)
-        verify whole candidate sets with array operations.
+        Equal to ``[self.locate(p) for p in patterns]``, answered as one
+        planner batch: duplicate patterns are answered once, and the
+        minimizer indexes verify the candidates of the whole batch with
+        array operations.
         """
-        from .engine import BatchQueryEngine
+        return [result.positions for result in self.query_many(patterns)]
 
-        return BatchQueryEngine(self).match_many(patterns)
-
-    # -- query strategy hooks -----------------------------------------------------
+    # -- query hooks -----------------------------------------------------------------
     @abc.abstractmethod
-    def _locate_codes(self, codes) -> list[int]:
-        """Scalar query strategy (pattern already coerced and validated)."""
-
     def _batch_locate(self, code_lists: list) -> list[list[int]]:
-        """Batch query strategy hook (patterns already coerced and distinct).
+        """Sorted occurrence positions of every pattern in the batch.
 
-        The default answers each pattern through the scalar strategy; index
-        families override this with vectorised implementations.
+        The patterns are letter-code arrays, already validated and distinct.
         """
-        return [self._locate_codes(codes) for codes in code_lists]
 
     def _batch_locate_probs(self, code_lists: list) -> list[tuple[list[int], np.ndarray]]:
-        """Batch strategy that also reports exact occurrence probabilities.
+        """:meth:`_batch_locate` with each occurrence's exact probability.
 
         Default: occurrences from :meth:`_batch_locate`, probabilities from
         one :func:`~repro.indexes.verification.exact_occurrence_products`

@@ -18,8 +18,9 @@ a big-endian unsigned integer, 1 byte per letter while every code is
 ≤ 253).  The sort orders those keys with stable argsorts, widening the
 materialised prefix only for the rows still tied; the update merge ranks
 re-derived leaves among the kept ones with ``searchsorted`` over them; and
-every prefix search, one piece or a whole batch, is two ``searchsorted``
-calls over the same keys (:meth:`LeafCollection.prefix_range_many`).
+the array variants' prefix search of a whole query batch is two
+``searchsorted`` calls over the same keys
+(:meth:`LeafCollection.prefix_range_many`).
 
 This module provides:
 
@@ -303,7 +304,7 @@ class LeafCollection:
     # -- array access ----------------------------------------------------------------
     @property
     def arrays(self) -> LeafArrays:
-        """The parallel leaf arrays, in sorted order (store, merge, engine)."""
+        """The parallel leaf arrays, in sorted order (store, merge, query)."""
         return self._arrays
 
     @property
@@ -680,13 +681,10 @@ class LeafCollection:
         return order
 
     # -- searching -----------------------------------------------------------------------
-    def prefix_range(self, piece) -> tuple[int, int]:
-        """Sorted-index range of leaves that have ``piece`` as a prefix."""
-        lo, hi = self.prefix_range_many([piece])[0]
-        return int(lo), int(hi)
-
     def prefix_range_many(self, pieces: list) -> np.ndarray:
-        """:meth:`prefix_range` of every piece, as a ``(B × 2)`` array of ``[lo, hi)``.
+        """Sorted-index range ``[lo, hi)`` of the leaves starting with each piece.
+
+        Returns a ``(B × 2)`` array, one row per piece.
 
         The bounds of the whole batch are two ``np.searchsorted`` calls over
         the search keys, the packed first :data:`SEARCH_PREFIX_LIMIT` letters
@@ -861,24 +859,6 @@ class MinimizerIndexData:
     #: space-efficient construction and for store-loaded data, which repair
     #: through a full rebuild instead.
     estimation: ZEstimation | None = None
-
-    # -- query plumbing shared by all variants ------------------------------------------
-    def split_pattern(self, codes, mu: int | None = None) -> tuple[int, list[int], list[int]]:
-        """Leftmost minimizer and the two query pieces (forward, backward).
-
-        ``mu`` may be passed in when it was already computed (the batch
-        engine computes the minimizers of a whole pattern batch at once).
-        """
-        if mu is None:
-            mu = self.scheme.leftmost_pattern_minimizer(codes)
-        forward_piece = [int(code) for code in codes[mu:]]
-        backward_piece = [int(code) for code in reversed(codes[: mu + 1])]
-        return mu, forward_piece, backward_piece
-
-    def candidate_positions(self, leaf_indices, collection: LeafCollection, mu: int):
-        """Candidate occurrence starts derived from matched leaves."""
-        positions = collection.positions
-        return {int(positions[index]) - mu for index in leaf_indices}
 
     def size_bytes(
         self,

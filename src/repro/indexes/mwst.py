@@ -19,20 +19,21 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from ..core.estimation import ZEstimation, resume_z_estimation
 from ..core.weighted_string import WeightedString
 from ..errors import ConstructionError
 from ..geometry.grid import Grid2D
 from ..sampling.minimizers import MinimizerScheme
 from .base import UncertainStringIndex
-from .engine import locate_minimizer_batch
 from .minimizer_core import (
     MinimizerIndexData,
     apply_updates_to_data,
     build_index_data_from_estimation,
 )
 from .space import DEFAULT_SPACE_MODEL, ConstructionTracker, IndexStats, SpaceModel
-from .verification import verify_against_source
+from .verification import verify_candidate_batches
 
 __all__ = [
     "MinimizerIndexBase",
@@ -64,11 +65,6 @@ class MinimizerIndexBase(UncertainStringIndex):
         self._data = data
         self._stats = stats
         self._grid = grid
-        self._forward_trie = None
-        self._backward_trie = None
-        if self.use_trie:
-            self._forward_trie = data.forward.build_trie()
-            self._backward_trie = data.backward.build_trie()
 
     # -- construction -----------------------------------------------------------------
     @classmethod
@@ -162,10 +158,6 @@ class MinimizerIndexBase(UncertainStringIndex):
             return {**details, "rederived_leaves": len(self._data.forward), **replay}
         data, details = outcome
         self._data = data
-        self._forward_trie = self._backward_trie = None
-        if self.use_trie:
-            self._forward_trie = data.forward.build_trie()
-            self._backward_trie = data.backward.build_trie()
         self._grid = Grid2D(data.pairs) if self.use_grid else None
         self._stats.index_size_bytes = data.size_bytes(
             as_tree=self.use_trie, with_grid=self.use_grid
@@ -190,46 +182,87 @@ class MinimizerIndexBase(UncertainStringIndex):
         """The 2D range-reporting grid (grid variants only)."""
         return self._grid
 
-    def _range(self, collection, trie, piece) -> tuple[int, int]:
-        if self.use_trie and trie is not None:
-            return trie.descend(piece)
-        return collection.prefix_range(piece)
-
-    def _candidates(self, codes) -> set[int]:
-        data = self._data
-        mu, forward_piece, backward_piece = data.split_pattern(codes)
-        if self.use_grid:
-            flo, fhi = self._range(data.forward, self._forward_trie, forward_piece)
-            blo, bhi = self._range(data.backward, self._backward_trie, backward_piece)
-            if flo >= fhi or blo >= bhi:
-                return set()
-            points = self._grid.report(flo, fhi, blo, bhi)
-            forward_positions = data.forward.positions
-            return {int(forward_positions[x]) - mu for x, _ in points}
-        # Simple query (Section 5): search only the longer piece, verify later.
-        if len(forward_piece) >= len(backward_piece):
-            lo, hi = self._range(data.forward, self._forward_trie, forward_piece)
-            return data.candidate_positions(range(lo, hi), data.forward, mu)
-        lo, hi = self._range(data.backward, self._backward_trie, backward_piece)
-        return data.candidate_positions(range(lo, hi), data.backward, mu)
-
-    def _locate_codes(self, codes) -> list[int]:
-        """Scalar strategy: candidate generation + per-candidate verification."""
-        results = []
-        for candidate in self._candidates(codes):
-            if candidate < 0 or candidate + len(codes) > len(self._source):
-                continue
-            if verify_against_source(self._source, codes, candidate, self._z):
-                results.append(candidate)
-        return sorted(results)
-
     def _batch_locate(self, code_lists: list) -> list[list[int]]:
-        """Vectorised batch strategy shared by all minimizer variants."""
-        return locate_minimizer_batch(self, code_lists)
+        return self._query_batch(code_lists)
 
     def _batch_locate_probs(self, code_lists: list):
-        """Batch strategy surfacing the verification stage's exact products."""
-        return locate_minimizer_batch(self, code_lists, with_probabilities=True)
+        return self._query_batch(code_lists, with_probabilities=True)
+
+    def _piece_ranges(self, collection, pieces: list) -> list:
+        """Sorted-leaf range ``(lo, hi)`` of every piece.
+
+        The tree variants descend the collection's compacted trie once per
+        piece; the array variants binary-search its packed leaf keys for the
+        whole batch at once.  Both give the same non-empty ranges.
+        """
+        if self.use_trie:
+            trie = collection.build_trie()
+            return [trie.descend(piece) for piece in pieces]
+        return collection.prefix_range_many(pieces).tolist()
+
+    def _query_batch(self, code_lists: list, *, with_probabilities: bool = False):
+        """The query of every minimizer variant, over a batch of distinct patterns.
+
+        Implements the Section-5 simple query (longer piece + verification)
+        and the Theorem-9 grid query: leftmost minimizers come from one
+        vectorised argmin, leaf ranges from :meth:`_piece_ranges`, and the
+        candidates of the whole batch are verified in bulk; only the grid
+        reporting stays per pattern.  With ``with_probabilities=True`` each
+        entry is a ``(positions, probabilities)`` pair carrying the
+        verification stage's exact products.
+        """
+        if not code_lists:
+            return []
+        data = self._data
+        arrays = [np.asarray(codes, dtype=np.int64) for codes in code_lists]
+        mus = [int(mu) for mu in data.scheme.leftmost_pattern_minimizers(arrays)]
+        # The forward piece reads rightward from the minimizer, the backward
+        # piece leftward (reversed); both are views, never copies.
+        forward_pieces = [arr[mu:] for arr, mu in zip(arrays, mus)]
+        backward_pieces = [arr[mu::-1] for arr, mu in zip(arrays, mus)]
+        candidates_per_row: list = [None] * len(arrays)
+
+        if self.use_grid:
+            forward_ranges = self._piece_ranges(data.forward, forward_pieces)
+            backward_ranges = self._piece_ranges(data.backward, backward_pieces)
+            forward_positions = data.forward.positions
+            for row, mu in enumerate(mus):
+                flo, fhi = forward_ranges[row]
+                blo, bhi = backward_ranges[row]
+                if flo >= fhi or blo >= bhi:
+                    continue
+                points = self._grid.report(flo, fhi, blo, bhi)
+                if not points:
+                    continue
+                xs = np.fromiter((x for x, _ in points), dtype=np.int64, count=len(points))
+                candidates_per_row[row] = np.unique(forward_positions[xs] - mu)
+        else:
+            # Simple query: search only the longer piece of each pattern,
+            # batched per side.
+            forward_rows = [
+                row
+                for row in range(len(arrays))
+                if len(forward_pieces[row]) >= len(backward_pieces[row])
+            ]
+            forward_row_set = set(forward_rows)
+            backward_rows = [
+                row for row in range(len(arrays)) if row not in forward_row_set
+            ]
+            for rows, collection, pieces in (
+                (forward_rows, data.forward, forward_pieces),
+                (backward_rows, data.backward, backward_pieces),
+            ):
+                if not rows:
+                    continue
+                ranges = self._piece_ranges(collection, [pieces[row] for row in rows])
+                positions = collection.positions
+                for (lo, hi), row in zip(ranges, rows):
+                    if lo < hi:
+                        candidates_per_row[row] = np.unique(positions[lo:hi] - mus[row])
+        return verify_candidate_batches(
+            self._source, self._z, code_lists, candidates_per_row,
+            with_probabilities=with_probabilities,
+        )
 
 
 class MinimizerWST(MinimizerIndexBase):

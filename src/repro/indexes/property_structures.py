@@ -123,12 +123,3 @@ class PropertySuffixStructure:
         lo, hi = self.pattern_interval(pattern)
         reported = np.asarray(self.report_valid(lo, hi, m), dtype=np.int64)
         return [int(position) for position in np.unique(reported)]
-
-    def locate_many(self, patterns: Sequence[Sequence[int]]) -> list[list[int]]:
-        """Batched :meth:`locate` (one structure pass per distinct pattern).
-
-        The suffix-array interval search is inherently per-pattern; the batch
-        entry point exists so the baselines plug into the shared batch engine
-        (pattern dedup happens upstream) with one call.
-        """
-        return [self.locate(pattern) for pattern in patterns]

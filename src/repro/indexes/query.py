@@ -1,10 +1,7 @@
 """The query model and the unified planner/executor of every index variant.
 
-Historically each index answered exactly one query shape — ``locate``, the
-sorted z-valid occurrence positions — through its own scalar loop, while the
-batch engine, the sharded fan-out and the CLI each re-implemented the
-validate / deduplicate / dispatch steps around it.  This module replaces all
-of that with one pipeline:
+Every query of every index — one pattern or a batch, any mode, monolithic
+or sharded — runs through one pipeline:
 
 * :class:`Query` describes a request: a pattern, a :class:`QueryMode`
   (``exists`` / ``count`` / ``locate`` / ``locate_probs`` / ``topk``), an
@@ -14,15 +11,15 @@ of that with one pipeline:
   their exact occurrence probabilities, which the verification stage used to
   compute and throw away;
 * :class:`QueryPlanner` turns a batch of queries into an
-  :class:`ExecutionPlan` (coerce + validate once, deduplicate patterns,
-  choose the scalar or batch strategy — the sharded index's strategies fan
-  out across its shards) and executes it through the index's
-  ``_locate_codes`` / ``_batch_locate`` / ``_batch_locate_probs`` hooks.
+  :class:`ExecutionPlan` (coerce + validate once, deduplicate patterns) and
+  answers its distinct patterns with one call of the index's
+  ``_batch_locate`` hook, or of ``_batch_locate_probs`` for the patterns a
+  probability-reporting query references.  A single query is a batch of
+  one; the sharded index fans either hook out across its shards.
 
-Exactness contract: ``locate`` positions are bit-identical to the historical
-per-variant query loops (the planner calls the very same strategies), and
-every reported probability equals the brute-force left-to-right ``float64``
-product ``p(P[0]) · p(P[1]) · ...`` exactly (see
+Exactness contract: ``locate`` positions equal the brute-force
+``Occ_{1/z}`` oracle, and every reported probability equals the brute-force
+left-to-right ``float64`` product ``p(P[0]) · p(P[1]) · ...`` exactly (see
 :func:`~repro.indexes.verification.exact_occurrence_products`).
 
 Threshold overrides answer *stricter* thresholds only: an occurrence valid
@@ -174,13 +171,11 @@ class QueryResult:
 
 @dataclass
 class ExecutionPlan:
-    """A validated, deduplicated batch of queries with a chosen strategy.
+    """A validated, deduplicated batch of queries.
 
-    ``strategy`` is ``"scalar"`` (a single distinct pattern answered through
-    the index's scalar query path) or ``"batch"`` (the vectorised batch
-    strategy); ``fan_out`` records whether the index distributes either
-    strategy across shards.  ``assignment[i]`` maps query ``i`` to its slot
-    in ``unique_codes``; ``z_values[i]`` lists the effective thresholds the
+    ``fan_out`` records whether the index distributes the batch across
+    shards.  ``assignment[i]`` maps query ``i`` to its slot in
+    ``unique_codes``; ``z_values[i]`` lists the effective thresholds the
     query must be answered at; ``probability_slots`` are the unique-pattern
     slots referenced by at least one probability-reporting query (only those
     pay for exact products).
@@ -192,7 +187,6 @@ class ExecutionPlan:
     assignment: list[int]
     z_values: list[tuple[float, ...]]
     probability_slots: frozenset[int]
-    strategy: str
     fan_out: bool
 
 
@@ -200,11 +194,11 @@ class QueryPlanner:
     """Plans and executes query batches over one index.
 
     Every public query entry point of the library —
-    ``UncertainStringIndex.locate/count/exists/query/query_many``,
-    ``BatchQueryEngine.match_many`` and the serving layer's
-    :class:`~repro.service.QueryService` — funnels through this class, so
-    every variant (monolithic or sharded, freshly built or store-loaded)
-    validates, deduplicates and answers queries identically.
+    ``UncertainStringIndex.locate/count/exists/query/query_many/match_many``
+    and the serving layer's :class:`~repro.service.QueryService` — funnels
+    through this class, so every variant (monolithic or sharded, freshly
+    built or store-loaded) validates, deduplicates and answers queries
+    identically.
     """
 
     def __init__(self, index) -> None:
@@ -218,10 +212,10 @@ class QueryPlanner:
 
     # -- planning ---------------------------------------------------------------
     def plan(self, queries: Sequence) -> ExecutionPlan:
-        """Validate and deduplicate ``queries`` and choose a strategy.
+        """Validate and deduplicate ``queries``.
 
         Entries may be :class:`Query` objects or bare patterns (answered in
-        ``locate`` mode).  Pattern validation mirrors the scalar path's
+        ``locate`` mode).  Pattern validation mirrors the index's
         ``_prepare_pattern`` exactly — including its error messages — but
         costs one concatenated min/max reduction for the whole batch.
         """
@@ -267,7 +261,6 @@ class QueryPlanner:
             for position, query in enumerate(normalized)
             if query.mode in _PROBABILITY_MODES
         )
-        strategy = "scalar" if len(unique_codes) == 1 else "batch"
         fan_out = bool(getattr(index, "shard_indexes", None))
         return ExecutionPlan(
             queries=normalized,
@@ -276,7 +269,6 @@ class QueryPlanner:
             assignment=assignment,
             z_values=z_values,
             probability_slots=probability_slots,
-            strategy=strategy,
             fan_out=fan_out,
         )
 
@@ -285,9 +277,9 @@ class QueryPlanner:
 
         The happy path costs one concatenation and one min/max reduction;
         when anything is invalid, every pattern is re-validated through the
-        index's scalar ``_prepare_pattern`` so the raised
-        :class:`~repro.errors.PatternError` is identical to the scalar
-        path's.
+        index's ``_prepare_pattern`` so the raised
+        :class:`~repro.errors.PatternError` names the first bad pattern the
+        way a one-pattern query would.
         """
         index = self._index
         minimum = max(1, index.minimum_pattern_length)
@@ -340,7 +332,6 @@ class QueryPlanner:
             "patterns": len(plan.queries),
             "unique_patterns": len(plan.unique_codes),
             "subqueries": subqueries,
-            "strategy": plan.strategy,
             "fan_out": plan.fan_out,
             # Which state of a mutable index answered this batch — lets the
             # serving layer correlate answers with applied update batches.
@@ -352,9 +343,7 @@ class QueryPlanner:
         """Occurrences (and probabilities, when needed) of every distinct pattern.
 
         All answers are computed at the *index's* threshold; per-query
-        overrides filter them in :meth:`_assemble`.  The scalar strategy goes
-        through the index's scalar query path, the batch strategy through its
-        vectorised hook; both return identical values.  Exact probability
+        overrides filter them in :meth:`_assemble`.  Exact probability
         products are computed only for the slots a probability-reporting
         query actually references — a single ``topk`` in a large ``locate``
         batch does not tax the rest of the batch.
@@ -364,15 +353,6 @@ class QueryPlanner:
         if not unique:
             return []
         probability_slots = plan.probability_slots
-        if plan.strategy == "scalar":
-            positions = np.asarray(index._locate_codes(unique[0]), dtype=np.int64)
-            if probability_slots:
-                from .verification import exact_occurrence_products
-
-                return [
-                    (positions, exact_occurrence_products(index.source, unique[0], positions))
-                ]
-            return [(positions, None)]
         base: list = [None] * len(unique)
         with_probs = sorted(probability_slots)
         plain = [slot for slot in range(len(unique)) if slot not in probability_slots]

@@ -129,7 +129,7 @@ def rebuild_in_place(index: UncertainStringIndex, *, estimation=None) -> dict:
     The universal repair strategy behind
     :meth:`UncertainStringIndex.apply_updates`: build a fresh index of the
     same registered kind over ``index.source`` and transplant its state into
-    the live object, so planners, engines and services holding a reference
+    the live object, so planners and services holding a reference
     keep working.  Nothing the index cached is reused — its estimation and
     leaf data are stale after an update — but a caller that already
     re-derived the z-estimation of the mutated string passes it as

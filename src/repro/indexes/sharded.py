@@ -6,12 +6,11 @@ chunk.  Consecutive shards overlap by ``max_pattern_len - 1`` positions, so
 every occurrence of a pattern of length ``m <= max_pattern_len`` is fully
 contained in at least one shard; each shard *owns* the occurrences starting
 inside its core (non-overlap) range, which makes the merged answer an exact,
-duplicate-free reconstruction of the monolithic answer:
-
-* ``locate`` / ``count`` / ``exists`` shift each shard's local positions by
-  the shard start, keep only owned starts and merge;
-* ``match_many`` (through the batch engine's ``_batch_locate`` hook) fans the
-  deduplicated pattern batch out across the shards and merges per pattern.
+duplicate-free reconstruction of the monolithic answer.  Every query, of
+one pattern or many, fans the deduplicated pattern batch out across the
+shards (``_batch_locate`` / ``_batch_locate_probs``), shifts each shard's
+local positions by the shard start, keeps only owned starts and merges per
+pattern.
 
 Shard construction is embarrassingly parallel: with ``workers > 1`` the
 shards are built in separate processes via :mod:`multiprocessing` and the
@@ -332,19 +331,11 @@ class ShardedIndex(UncertainStringIndex):
             if globally < shard.core_end:
                 owned.add(globally)
 
-    def _locate_codes(self, codes) -> list[int]:
-        """Scalar strategy: per-shard scalar queries, ownership-filtered merge."""
-        owned: set[int] = set()
-        for shard, index in zip(self._shards, self._indexes):
-            if shard.length >= len(codes):
-                self._accumulate(shard, index._locate_codes(codes), owned)
-        return sorted(owned)
-
     def _fitting_rows(self, code_lists: list, shard: Shard) -> list[int]:
         """Rows of the batch whose patterns fit inside ``shard``.
 
-        The same guard the scalar path applies, so short tail shards never
-        run the batch machinery on patterns they cannot contain.
+        Short tail shards never run the query machinery on patterns they
+        cannot contain.
         """
         return [
             row

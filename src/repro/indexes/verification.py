@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from itertools import accumulate
 
 import numpy as np
 
@@ -111,8 +112,7 @@ def verify_candidate_batches(
     positions.  Patterns of equal length share one fancy-indexing gather
     over the source's log-probability cache, so the number of NumPy
     dispatches scales with the number of distinct pattern lengths, not with
-    the batch size.  This is the bulk engine behind
-    :meth:`UncertainStringIndex.match_many`;
+    the batch size.  Every minimizer-index query verifies through it;
     :func:`verify_candidates_against_source` is its one-pattern sibling.
 
     With ``with_probabilities=True`` each entry becomes a
@@ -139,32 +139,28 @@ def verify_candidate_batches(
     for m, rows in by_length.items():
         if m > n:
             continue  # every candidate overhangs the string: nothing is valid
-        sizes = np.array([len(candidates_per_pattern[row]) for row in rows])
+        sizes = [len(candidates_per_pattern[row]) for row in rows]
         starts = np.concatenate([candidates_per_pattern[row] for row in rows])
-        pattern_of = np.repeat(np.arange(len(rows), dtype=np.int64), sizes)
-        pattern_matrix = np.array([patterns[row] for row in rows], dtype=np.int64)
-        in_range = (starts >= 0) & (starts + m <= n)
-        safe_starts = np.where(in_range, starts, 0)
-        offsets = np.arange(m, dtype=np.int64)
-        letter_rows = safe_starts[:, None] + offsets[None, :]
-        letter_columns = pattern_matrix[pattern_of]
+        # An out-of-range start reads a clamped, in-range window; the
+        # comparison with its own start masks it out afterwards.
+        clamped = np.minimum(np.maximum(starts, 0), n - m)
+        letter_rows = clamped[:, None] + np.arange(m, dtype=np.int64)
+        letter_columns = np.repeat(
+            np.array([patterns[row] for row in rows], dtype=np.int64), sizes, axis=0
+        )
         gathered = log_matrix[letter_rows, letter_columns]
         probabilities = np.exp(gathered.sum(axis=1))
-        solid = solid_probability_mask(probabilities, z) & in_range
+        solid = solid_probability_mask(probabilities, z) & (clamped == starts)
         if with_probabilities:
             products = np.multiply.reduce(
                 source.matrix[letter_rows, letter_columns], axis=1
             )
-        boundaries = np.cumsum(sizes)[:-1]
-        split_products = (
-            np.split(products, boundaries) if with_probabilities else None
-        )
-        for group, (row, row_starts, row_solid) in enumerate(
-            zip(rows, np.split(starts, boundaries), np.split(solid, boundaries))
-        ):
-            results[row] = [int(position) for position in row_starts[row_solid]]
+        ends = list(accumulate(sizes))
+        for row, lo, hi in zip(rows, [0] + ends, ends):
+            row_solid = solid[lo:hi]
+            results[row] = starts[lo:hi][row_solid].tolist()
             if with_probabilities:
-                probabilities_out[row] = split_products[group][row_solid]
+                probabilities_out[row] = products[lo:hi][row_solid]
     if with_probabilities:
         return list(zip(results, probabilities_out))
     return results

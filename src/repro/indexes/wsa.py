@@ -89,13 +89,9 @@ class WeightedSuffixArray(UncertainStringIndex):
         return model.words(4 * entries) + model.codes(entries)
 
     # -- queries -------------------------------------------------------------------------
-    def _locate_codes(self, codes) -> list[int]:
-        """Scalar strategy: one binary-searched structure pass."""
-        return self._structure.locate(codes)
-
     def _batch_locate(self, code_lists: list) -> list[list[int]]:
-        """Batch strategy: deduplicated patterns share one structure pass each."""
-        return self._structure.locate_many(code_lists)
+        """One binary-searched structure pass per pattern."""
+        return [self._structure.locate(codes) for codes in code_lists]
 
     @property
     def structure(self) -> PropertySuffixStructure:

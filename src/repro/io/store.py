@@ -37,10 +37,11 @@ array              content
 =================  ==========================================================
 
 Every other array keeps the dtype it is built with.  Version-2 containers
-(a dense ``float64`` ``source`` matrix, an ``int64`` estimation) and
-version-1 ones (magic ``b"RPROIDX\\n"``, no checksums) are still readable; a
-version-2 directory store refreshed after an update holds version-2 clean
-shards beside version-3 rewritten ones.
+(a dense ``float64`` ``source`` matrix, an ``int64`` estimation) are still
+readable; a version-2 directory store refreshed after an update holds
+version-2 clean shards beside version-3 rewritten ones.  Version 1 (magic
+``b"RPROIDX\\n"``, no checksums) is refused with a
+:class:`~repro.errors.StoreFormatError`.
 
 Durability: every container and manifest write goes through a temp file in
 the same directory, ``flush → fsync → os.replace`` and a directory fsync,
@@ -66,9 +67,7 @@ verified on RAM loads by default and skipped on mmap loads (pass
 load: the CSR compacted-trie arrays and the range-tree grid levels are
 persisted alongside the leaf/suffix arrays and rehydrated directly, so only
 the tiny range-maximum table of the baselines is derived from loaded data.
-Stores written before the trie/grid arrays existed still load — the extra
-arrays are presence-gated on the manifest, and missing ones fall back to the
-old re-derivation path.  Unknown magic numbers, formats or versions raise
+Unknown magic numbers, formats or versions raise
 :class:`~repro.errors.StoreFormatError`; damaged files raise
 :class:`~repro.errors.StoreCorruptionError` naming the file, section and
 (for checksum mismatches) offset plus expected/actual digests.
@@ -120,12 +119,12 @@ __all__ = [
 ]
 
 _MAGIC = b"RPROIDX2"
-_MAGIC_V1 = b"RPROIDX\n"
 _ALIGNMENT = 64
 
 STORE_FORMAT = "repro.index_store"
 STORE_VERSION = 3
-_SUPPORTED_VERSIONS = (1, 2, 3)
+_SUPPORTED_VERSIONS = (2, 3)
+_SUPPORTED_TEXT = ", ".join(str(version) for version in _SUPPORTED_VERSIONS)
 
 SHARDED_STORE_FORMAT = "repro.sharded_store"
 SHARDED_STORE_VERSION = 1
@@ -260,7 +259,7 @@ def _section_of(name: str) -> str:
 class _Container:
     """A parsed store file: the header plus lazy array access.
 
-    Parsing always validates structure (magic, header checksum on v2,
+    Parsing always validates structure (magic, header checksum,
     format/version, array bounds against the file size); ``verify=True``
     additionally streams every array blob through CRC32 and raises
     :class:`~repro.errors.StoreCorruptionError` on the first mismatch.
@@ -273,14 +272,14 @@ class _Container:
             with open(self.path, "rb") as handle:
                 file_size = os.fstat(handle.fileno()).st_size
                 magic = handle.read(len(_MAGIC))
-                if magic not in (_MAGIC, _MAGIC_V1):
+                if magic != _MAGIC:
+                    # Version 1 had its own magic; it is refused here too.
                     raise StoreFormatError(
-                        f"{self.path} is not a repro index store (bad magic)"
+                        f"{self.path} is not a repro index store of a supported "
+                        f"version (bad magic; supported: {_SUPPORTED_TEXT})"
                     )
                 (header_length,) = struct.unpack("<Q", handle.read(8))
-                expected_crc = None
-                if magic == _MAGIC:
-                    (expected_crc,) = struct.unpack("<I", handle.read(4))
+                (expected_crc,) = struct.unpack("<I", handle.read(4))
                 if header_length > max(file_size, 0):
                     raise StoreCorruptionError(
                         self.path,
@@ -296,17 +295,16 @@ class _Container:
                         "is corrupt: file truncated inside the header",
                         offset=len(magic) + 8 + len(header_bytes),
                     )
-                if expected_crc is not None:
-                    actual_crc = _crc32(header_bytes)
-                    if actual_crc != expected_crc:
-                        raise StoreCorruptionError(
-                            self.path,
-                            "index-store header",
-                            "is corrupt: header checksum mismatch",
-                            offset=len(magic) + 8 + 4,
-                            expected=f"{expected_crc:08x}",
-                            actual=f"{actual_crc:08x}",
-                        )
+                actual_crc = _crc32(header_bytes)
+                if actual_crc != expected_crc:
+                    raise StoreCorruptionError(
+                        self.path,
+                        "index-store header",
+                        "is corrupt: header checksum mismatch",
+                        offset=len(magic) + 8 + 4,
+                        expected=f"{expected_crc:08x}",
+                        actual=f"{actual_crc:08x}",
+                    )
                 header = json.loads(header_bytes.decode("utf-8"))
         except OSError as exc:
             raise StoreError(f"cannot read {self.path}: {exc}") from exc
@@ -322,18 +320,14 @@ class _Container:
                 f"expected {STORE_FORMAT!r}"
             )
         if header.get("version") not in _SUPPORTED_VERSIONS:
-            supported = ", ".join(str(v) for v in _SUPPORTED_VERSIONS)
             raise StoreFormatError(
                 f"{self.path} has unsupported index-store version "
-                f"{header.get('version')!r} (supported: {supported})"
+                f"{header.get('version')!r} (supported: {_SUPPORTED_TEXT})"
             )
         self.meta = header["meta"]
         self.file_size = file_size
         self._manifest = header["arrays"]
-        if magic == _MAGIC:
-            self._data_start = _align(len(_MAGIC) + 8 + 4 + header_length)
-        else:
-            self._data_start = _align(len(_MAGIC_V1) + 8 + header_length)
+        self._data_start = _align(len(_MAGIC) + 8 + 4 + header_length)
         self._check_bounds(file_size)
         if verify:
             problems = self.verify_arrays()
@@ -363,20 +357,29 @@ class _Container:
                 )
 
     def verify_arrays(self) -> list[StoreCorruptionError]:
-        """Stream every checksummed blob through CRC32; collect mismatches.
+        """Stream every blob through CRC32; collect mismatches.
 
-        Version-1 containers carry no checksums, so they verify vacuously.
-        Returns the problems instead of raising so ``verify-store`` can
-        report all of them at once; load paths raise the first one.
+        Every writer stores a checksum per array, so an array without one is
+        reported as corruption too.  Returns the problems instead of raising
+        so ``verify-store`` can report all of them at once; load paths raise
+        the first one.
         """
         problems: list[StoreCorruptionError] = []
         with open(self.path, "rb") as handle:
             for name, spec in self._manifest.items():
                 expected = spec.get("crc32")
-                if expected is None:
-                    continue
                 nbytes = self._spec_nbytes(spec)
                 offset = self._data_start + int(spec["offset"])
+                if expected is None:
+                    problems.append(
+                        StoreCorruptionError(
+                            self.path,
+                            f"array {name!r}",
+                            "is corrupt: the manifest has no checksum for it",
+                            offset=offset,
+                        )
+                    )
+                    continue
                 handle.seek(offset)
                 crc = 0
                 remaining = nbytes
@@ -420,8 +423,9 @@ class _Container:
     def has(self, name: str) -> bool:
         """Whether the store holds an array called ``name``.
 
-        Optional artefacts (trie / grid arrays) are presence-gated on the
-        manifest so stores written before they existed still load.
+        Arrays that not every index or version has — the estimation, the
+        grid levels, a version-2 dense ``source`` — are presence-gated on
+        the manifest.
         """
         return name in self._manifest
 
@@ -721,12 +725,10 @@ def _unpack_body(container: _Container, meta: dict, prefix: str, source, z: floa
 
 
 def _adopt_stored_tries(container: _Container, prefix: str, data) -> None:
-    """Install persisted CSR tries on both leaf collections (if stored)."""
+    """Install the persisted CSR tries on both leaf collections."""
     from ..strings.trie import _CSR_ARRAY_NAMES, CompactedTrie
 
     for side, collection in (("fwd", data.forward), ("bwd", data.backward)):
-        if not container.has(f"{prefix}{side}.trie.depth"):
-            continue
         trie_arrays = {
             name: container.array(f"{prefix}{side}.trie.{name}")
             for name in _CSR_ARRAY_NAMES
@@ -775,8 +777,8 @@ def _unpack_minimizer(container: _Container, meta: dict, prefix: str, source, z:
         pairs=pairs,
         construction=meta.get("construction", "estimation"),
         counters=dict(meta.get("counters", {})),
-        # Presence-gated: stores written before estimation persistence load
-        # with ``estimation=None`` and fall back to full-rebuild updates.
+        # Presence-gated: the space-efficient construction stores none and
+        # repairs updates through a full rebuild.
         estimation=_unpack_estimation(container, prefix, source, z),
     )
     if cls.use_trie:
@@ -822,18 +824,12 @@ def _unpack_baseline(container: _Container, meta: dict, prefix: str, source, z: 
         return WeightedSuffixArray(source, z, structure, stats)
     lengths = len(structure.text) - structure.sa
     accessor = _SuffixLetterAccessor(structure.text, structure.sa)
-    if container.has(f"{prefix}ps.trie.depth"):
-        trie_arrays = {
-            name: container.array(f"{prefix}ps.trie.{name}")
-            for name in _CSR_ARRAY_NAMES
-        }
-        trie = CompactedTrie.from_arrays(
-            trie_arrays, lengths, accessor, bulk_letter=accessor.bulk
-        )
-    else:
-        trie = CompactedTrie(
-            lengths, structure.lcp, accessor, bulk_letter=accessor.bulk
-        )
+    trie_arrays = {
+        name: container.array(f"{prefix}ps.trie.{name}") for name in _CSR_ARRAY_NAMES
+    }
+    trie = CompactedTrie.from_arrays(
+        trie_arrays, lengths, accessor, bulk_letter=accessor.bulk
+    )
     return WeightedSuffixTree(source, z, structure, trie, stats)
 
 
@@ -1385,8 +1381,7 @@ def verify_store(path) -> dict:
     "bytes"}`` with one problem entry per damaged or suspicious artefact:
     corrupt container headers or array blobs (full checksum pass), a torn
     WAL tail, committed WAL updates not yet applied (run ``recover``), and
-    leftover temp files.  Version-1 stores (no checksums) pass on structural
-    checks alone.
+    leftover temp files.  An array without a checksum is a problem too.
 
     ``bytes`` accounts for every byte of the container files (the shard
     files of a directory; its manifest and WAL are not counted):

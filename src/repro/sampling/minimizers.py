@@ -179,38 +179,15 @@ class MinimizerScheme:
             return int(kmer_code)
         return mix64(int(kmer_code))
 
-    # -- single windows (queries) ---------------------------------------------------
-    def window_minimizer(self, window: Sequence[int]) -> int:
-        """Offset (0-based) of the minimizer inside one length-ℓ window.
-
-        This is the function ``f`` of the paper: the leftmost occurrence of
-        the smallest k-mer of the window.  The window may be longer than ℓ;
-        only its first ℓ letters are considered (the paper's
-        ``f(P[1..ℓ])``).
-        """
-        window = np.asarray(window[: self.ell], dtype=np.int64)
-        if len(window) < self.ell:
-            raise ReproError(
-                f"window of length {len(window)} is shorter than ell={self.ell}"
-            )
-        kmers = self.kmer_codes(window)
-        values = self.order_values(kmers)
-        return int(np.argmin(values))
-
-    def leftmost_pattern_minimizer(self, pattern: Sequence[int]) -> int:
-        """Minimizer offset of the first window of a pattern of length ≥ ℓ."""
-        if len(pattern) < self.ell:
-            raise ReproError(
-                f"pattern of length {len(pattern)} is shorter than ell={self.ell}"
-            )
-        return self.window_minimizer(pattern)
-
+    # -- query patterns ---------------------------------------------------------------
     def leftmost_pattern_minimizers(self, patterns: Sequence[Sequence[int]]) -> np.ndarray:
-        """Vectorised :meth:`leftmost_pattern_minimizer` over a pattern batch.
+        """Minimizer offset of each pattern's first length-ℓ window.
 
-        Only the first ℓ letters of each pattern matter, so the batch is
-        packed into a ``(B × ℓ)`` matrix and all minimizer offsets are
-        computed with a single argmin.
+        This is the function ``f`` of the paper, ``f(P[1..ℓ])``: the leftmost
+        occurrence of the smallest k-mer of the window.  Only the first ℓ
+        letters of each pattern matter, so the batch is packed into a
+        ``(B × ℓ)`` matrix and all offsets come from a single argmin.  A
+        pattern shorter than ℓ raises :class:`~repro.errors.ReproError`.
         """
         if len(patterns) == 0:
             return np.empty(0, dtype=np.int64)

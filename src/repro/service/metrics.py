@@ -88,22 +88,6 @@ class Histogram:
                 return
         self.counts[-1] += 1
 
-    def quantile(self, q: float) -> float:
-        """Bucket-resolution quantile estimate (upper bound of the bucket).
-
-        Good enough for benchmark reporting (p50/p99 at bucket granularity);
-        Prometheus itself computes quantiles server-side from the buckets.
-        """
-        if not self.count:
-            return 0.0
-        target = q * self.count
-        seen = 0
-        for slot, bound in enumerate(self.buckets):
-            seen += self.counts[slot]
-            if seen >= target:
-                return bound
-        return math.inf
-
 
 class MetricsRegistry:
     """Named metric families with labels, rendered as Prometheus text.

@@ -9,7 +9,7 @@ is tiny).  Routes:
 ``POST /query``          one query object → one result (micro-batched)
 ``POST /query/batch``    ``{"queries": [...]}`` → per-item results/errors
 ``POST /update``         ``{"updates": [...]}`` → update report (serialized)
-``GET /stats``           service + server counters (JSON)
+``GET /stats``           service + server counters, process memory (JSON)
 ``GET /healthz``         liveness probe
 ``GET /metrics``         Prometheus text format
 =======================  ====================================================
@@ -456,9 +456,14 @@ class HttpServer:
                 if self._cluster is not None:
                     payload = await self._cluster.cluster_stats()
                     return 200, payload, "application/json", ()
+                # Imported here: the bench package costs a single-process
+                # server's start-up ~20 ms, and only this route needs it.
+                from ..bench.measure import process_memory
+
                 return 200, {
                     "service": self._service.stats(),
                     "server": self.server_stats(),
+                    "memory": process_memory(),
                 }, "application/json", ()
             if path == "/metrics":
                 if method != "GET":

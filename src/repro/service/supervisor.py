@@ -57,7 +57,7 @@ import time
 from pathlib import Path
 
 from ..errors import ReproError, SerializationError
-from ..bench.measure import peak_rss_bytes, smaps_rollup_bytes
+from ..bench.measure import process_memory
 from .metrics import render_cluster_stats
 from .query_service import QueryService
 
@@ -852,18 +852,12 @@ class _WorkerContext:
 
     # -- supervisor-initiated operations -----------------------------------------
     def _snapshot(self) -> dict:
-        memory = {"peak_rss_bytes": peak_rss_bytes()}
-        rollup = smaps_rollup_bytes()
-        if rollup is not None:
-            memory["shared_bytes"] = rollup["shared"]
-            memory["private_bytes"] = rollup["private"]
-            memory["pss_bytes"] = rollup.get("pss")
         return {
             "worker": self.number,
             "pid": os.getpid(),
             "service": self._service.stats(),
             "server": self._server.server_stats(),
-            "memory": memory,
+            "memory": process_memory(),
         }
 
     async def _apply_reload(self, message: dict) -> None:

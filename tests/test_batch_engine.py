@@ -1,7 +1,8 @@
-"""Edge cases of the vectorized batch query engine (``match_many``).
+"""Edge cases of batch queries (``match_many``).
 
-Every case asserts agreement with the per-pattern ``locate`` path — the
-engine must be a pure throughput optimisation, never a semantic change.
+Every case asserts agreement with one ``locate`` call per pattern: answering
+a batch at once must be a pure throughput optimisation, never a semantic
+change.
 """
 
 from __future__ import annotations
@@ -16,15 +17,17 @@ from repro.cli import main as cli_main
 from repro.errors import PatternError
 from repro.indexes import (
     INDEX_CLASSES,
-    BatchQueryEngine,
     HeavyMismatchVerifier,
+    LeafCollection,
     MinimizerWSA,
+    QueryPlanner,
     WeightedSuffixArray,
     build_index,
     verify_against_source,
     verify_candidate_batches,
     verify_candidates_against_source,
 )
+from repro.strings.trie import CompactedTrie
 
 MINIMIZER_KINDS = ("MWST", "MWSA", "MWST-G", "MWSA-G", "MWST-SE")
 
@@ -77,12 +80,14 @@ class TestEdgeCases:
     def test_duplicate_patterns_answered_once(self, indexes):
         index = indexes["MWSA"]
         pattern = [0, 1, 0, 1, 2]
-        engine = BatchQueryEngine(index)
-        results = engine.match_many([pattern, pattern, pattern])
-        assert results == [index.locate(pattern)] * 3
-        assert engine.last_stats == {
+        planner = QueryPlanner(index)
+        results = planner.execute([pattern, pattern, pattern])
+        assert [result.positions for result in results] == [index.locate(pattern)] * 3
+        assert planner.last_stats == {
             "patterns": 3,
             "unique_patterns": 1,
+            "subqueries": 3,
+            "fan_out": False,
             "generation": 0,
         }
 
@@ -150,6 +155,46 @@ class TestEdgeCases:
         ]
 
 
+class TestLeafSearchPerVariant:
+    """Tree variants walk their tries; array variants search the packed keys."""
+
+    def _count_searches(self, monkeypatch):
+        calls = {"descend": 0, "prefix_range_many": 0}
+        for owner, name in (
+            (CompactedTrie, "descend"),
+            (LeafCollection, "prefix_range_many"),
+        ):
+            original = getattr(owner, name)
+
+            def spy(self, *args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(owner, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("kind", ("MWST", "MWST-G", "MWST-SE"))
+    def test_tree_variants_descend_their_tries(self, indexes, source, kind, monkeypatch):
+        index = indexes[kind]
+        patterns = patterns_for(source)
+        calls = self._count_searches(monkeypatch)
+        index.match_many(patterns)
+        assert calls["descend"] > 0
+        assert calls["prefix_range_many"] == 0
+
+    @pytest.mark.parametrize("kind", ("MWSA", "MWSA-G", "3-shard MWSA"))
+    def test_array_variants_never_descend(self, indexes, source, kind, monkeypatch):
+        if kind == "3-shard MWSA":
+            index = build_index(source, 4, kind="MWSA", ell=4, shards=3, max_pattern_len=9)
+        else:
+            index = indexes[kind]
+        patterns = patterns_for(source)
+        calls = self._count_searches(monkeypatch)
+        index.match_many(patterns)
+        assert calls["prefix_range_many"] > 0
+        assert calls["descend"] == 0
+
+
 class TestBatchVerifiers:
     """The batched verification APIs must agree with their scalar siblings."""
 
@@ -189,6 +234,24 @@ class TestBatchVerifiers:
                     for position in cands
                     if verify_against_source(source, pattern, int(position), z)
                 ]
+
+    def test_out_of_range_candidates_never_verify(self):
+        # Out-of-range starts read a clamped window; on a certain string
+        # that window is solid, so only the range mask keeps them out.
+        from repro.core.alphabet import Alphabet
+        from repro.core.weighted_string import WeightedString
+
+        matrix = np.zeros((10, 2))
+        matrix[:, 0] = 1.0
+        certain = WeightedString(matrix, Alphabet(["A", "B"]))
+        candidates = np.array([-3, -1, 0, 6, 7, 12], dtype=np.int64)
+        for with_probabilities in (False, True):
+            (result,) = verify_candidate_batches(
+                certain, 4.0, [[0, 0, 0, 0]], [candidates],
+                with_probabilities=with_probabilities,
+            )
+            positions = result[0] if with_probabilities else result
+            assert positions == [0, 6]
 
     def test_heavy_mismatch_verifier_batch_matches_scalar(self, source):
         z = 4.0

@@ -20,6 +20,8 @@ from repro.bench.experiments import (
     fig12,
     fig13,
     fig14,
+    servemix,
+    shardscale,
 )
 from repro.bench.harness import BenchScale, build_index_suite, sweep_rows
 
@@ -37,6 +39,11 @@ def micro_scale():
         pattern_count=2,
         rssi_sigma_values=(16, 91),
         rssi_length_factors=(1, 2),
+        shard_length=600,
+        shard_counts=(1, 3),
+        shard_workers=(1,),
+        serve_request_count=200,
+        serve_unique_patterns=20,
     )
 
 
@@ -183,3 +190,21 @@ class TestWholeBuilds:
                 assert "estimation_seconds" not in row  # it never materialises one
             else:
                 assert row["estimation_seconds"] > 0, row
+
+
+class TestServingExperiments:
+    def test_shardscale_sharded_and_reloaded_answer_like_single(self, micro_scale):
+        rows = shardscale(micro_scale).rows
+        builds = [row for row in rows if "shards" in row]
+        assert [row["shards"] for row in builds] == [1, 3]
+        assert all(row["matches_single"] for row in builds)
+        # One worker never engages the four-core speedup check.
+        assert all(row["faster_than_single"] is None for row in builds)
+        (store,) = [row for row in rows if "store_bytes" in row]
+        assert store["loaded_matches_built"] is True
+
+    def test_servemix_cached_answers_equal_uncached(self, micro_scale):
+        off, on = servemix(micro_scale).rows
+        assert (off["cache"], on["cache"]) == ("off", "on")
+        assert off["matches_uncached"] and on["matches_uncached"]
+        assert on["hit_rate"] > 0

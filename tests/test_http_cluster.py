@@ -113,6 +113,23 @@ class Cluster:
             self.proc.wait(timeout=10)
 
 
+class TestSingleProcessServing:
+    def test_stats_report_process_memory(self, served_store):
+        _, store = served_store
+        server = Cluster(["--store", str(store), "--workers", "1", "--port", "0"])
+        try:
+            payload = server.get("/stats")
+            assert "workers" not in payload  # the single-process server answered
+            memory = payload["memory"]
+            assert memory["peak_rss_bytes"] > 0
+            if Path("/proc/self/smaps_rollup").exists():
+                assert memory["private_bytes"] > 0
+                assert memory["pss_bytes"] > 0
+            assert server.terminate() == 0
+        finally:
+            server.kill()
+
+
 @needs_fork
 class TestClusterServing:
     def test_metrics_aggregate_to_the_client_tally(self, served_store):

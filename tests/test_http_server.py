@@ -547,8 +547,7 @@ class TestMetrics:
         for value in (0.0005, 0.002, 0.002, 0.05, 5.0):
             histogram.observe(value)
         assert histogram.count == 5
-        assert histogram.quantile(0.5) == 0.01
-        assert histogram.quantile(0.99) == float("inf")
+        assert histogram.counts == [1, 2, 1, 1]  # the last slot is +Inf
 
     def test_registry_renders_prometheus_text(self):
         registry = MetricsRegistry()

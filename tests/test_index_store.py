@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
-from repro.errors import SerializationError
+from repro.errors import SerializationError, StoreCorruptionError, StoreFormatError
 from repro.indexes import build_index
 from repro.io.store import STORE_FORMAT, load_index, save_index
 
@@ -110,10 +111,15 @@ class TestFormatValidation:
         with pytest.raises(SerializationError, match="cannot read"):
             load_index(tmp_path / "absent.idx")
 
-    def _write_header_only(self, path, header: dict) -> None:
-        header_bytes = json.dumps(header).encode("utf-8")
+    def _write_header_only(self, path, header) -> None:
+        """A container holding only ``header`` (a dict or raw bytes), v2 framing."""
+        if isinstance(header, dict):
+            header = json.dumps(header).encode("utf-8")
         path.write_bytes(
-            b"RPROIDX\n" + struct.pack("<Q", len(header_bytes)) + header_bytes
+            b"RPROIDX2"
+            + struct.pack("<Q", len(header))
+            + struct.pack("<I", zlib.crc32(header))
+            + header
         )
 
     def test_unsupported_version_rejected(self, tmp_path):
@@ -124,19 +130,47 @@ class TestFormatValidation:
         with pytest.raises(SerializationError, match="version"):
             load_index(path)
 
+    def test_version_1_containers_rejected(self, tmp_path):
+        header = {"format": STORE_FORMAT, "version": 1, "meta": {}, "arrays": {}}
+        framed = tmp_path / "v1-header.idx"
+        self._write_header_only(framed, header)
+        header_bytes = json.dumps(header).encode("utf-8")
+        original = tmp_path / "v1.idx"  # the version-1 framing: own magic, no CRC
+        original.write_bytes(
+            b"RPROIDX\n" + struct.pack("<Q", len(header_bytes)) + header_bytes
+        )
+        for path in (framed, original):
+            with pytest.raises(StoreFormatError, match=r"supported: 2, 3\)"):
+                load_index(path)
+
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "other.idx"
         self._write_header_only(
-            path, {"format": "someone.elses", "version": 1, "meta": {}, "arrays": {}}
+            path, {"format": "someone.elses", "version": 3, "meta": {}, "arrays": {}}
         )
         with pytest.raises(SerializationError, match="format"):
             load_index(path)
 
     def test_corrupt_header_rejected(self, tmp_path):
         path = tmp_path / "corrupt.idx"
-        path.write_bytes(b"RPROIDX\n" + struct.pack("<Q", 10) + b"not json!!")
+        self._write_header_only(path, b"not json!!")
         with pytest.raises(SerializationError, match="corrupt"):
             load_index(path)
+
+    def test_array_without_checksum_is_corruption(self, tmp_path, stored_source):
+        path = tmp_path / "unchecked.idx"
+        save_index(path, build_index(stored_source, 4.0, kind="MWSA", ell=4))
+        raw = bytearray(path.read_bytes())
+        (length,) = struct.unpack_from("<Q", raw, 8)
+        header = bytes(raw[20 : 20 + length])
+        # Same-length rename, so every blob keeps its offset.
+        header = header.replace(b'"crc32"', b'"crcXX"', 1)
+        raw[16:20] = struct.pack("<I", zlib.crc32(header))
+        raw[20 : 20 + length] = header
+        path.write_bytes(bytes(raw))
+        load_index(path, verify=False)  # the structure is intact
+        with pytest.raises(StoreCorruptionError, match="no checksum"):
+            load_index(path, verify=True)
 
     def test_unknown_family_rejected(self, tmp_path):
         path = tmp_path / "family.idx"
@@ -144,14 +178,14 @@ class TestFormatValidation:
             path,
             {
                 "format": STORE_FORMAT,
-                "version": 1,
+                "version": 3,
                 "meta": {
                     "z": 4,
                     "alphabet": ["A", "B"],
                     "body": {"family": "martian"},
                 },
                 "arrays": {
-                    "source": {"dtype": "<f8", "shape": [0, 2], "offset": 0}
+                    "source": {"dtype": "<f8", "shape": [0, 2], "offset": 0, "crc32": 0}
                 },
             },
         )

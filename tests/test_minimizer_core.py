@@ -53,22 +53,22 @@ class TestLeafCollectionSorting:
 
     def test_prefix_range(self, paper_data):
         collection = paper_data.forward
-        for index in range(len(collection)):
-            codes = collection.leaf_codes(index, limit=2)
-            lo, hi = collection.prefix_range(codes)
+        pieces = [collection.leaf_codes(index, limit=2) for index in range(len(collection))]
+        for index, (lo, hi) in enumerate(collection.prefix_range_many(pieces)):
             assert lo <= index < hi
 
     def test_prefix_range_of_absent_piece(self, paper_data):
         collection = paper_data.forward
-        lo, hi = collection.prefix_range([1, 1, 1, 1, 1, 1, 1])
+        lo, hi = collection.prefix_range_many([[1, 1, 1, 1, 1, 1, 1]])[0]
         assert lo == hi
 
     def test_trie_agrees_with_binary_search(self, paper_data):
         collection = paper_data.forward
         trie = collection.build_trie()
-        for piece in ([0], [1], [0, 0], [0, 1], [1, 0], [1, 1], [0, 0, 0]):
+        pieces = [[0], [1], [0, 0], [0, 1], [1, 0], [1, 1], [0, 0, 0]]
+        for piece, found in zip(pieces, collection.prefix_range_many(pieces)):
             from_trie = list(range(*trie.descend(piece)))
-            from_search = list(range(*collection.prefix_range(piece)))
+            from_search = list(range(*found))
             assert from_trie == from_search
 
 
@@ -130,15 +130,3 @@ class TestEstimationSampling:
         assert array_size < tree_size
         assert array_size < grid_size
 
-
-class TestQueryPlumbing:
-    def test_split_pattern(self, paper_data):
-        mu, forward_piece, backward_piece = paper_data.split_pattern([0, 0, 1, 1])
-        assert 0 <= mu <= 2
-        assert forward_piece == [0, 0, 1, 1][mu:]
-        assert backward_piece == list(reversed([0, 0, 1, 1][: mu + 1]))
-
-    def test_candidate_positions(self, paper_data):
-        collection = paper_data.forward
-        candidates = paper_data.candidate_positions(range(len(collection)), collection, 1)
-        assert all(isinstance(value, int) for value in candidates)

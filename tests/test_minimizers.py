@@ -58,14 +58,17 @@ class TestSelection:
     def test_window_minimizer_short_window_rejected(self):
         scheme = MinimizerScheme(ell=4, sigma=2, k=2)
         with pytest.raises(ReproError):
-            scheme.window_minimizer([0, 1])
+            scheme.leftmost_pattern_minimizers([[0, 1, 0, 1], [0, 1]])
 
     def test_leftmost_pattern_minimizer_matches_window(self):
-        scheme = MinimizerScheme(ell=4, sigma=2, k=2, order="lexicographic")
-        pattern = [1, 0, 0, 1, 1, 0]
-        assert scheme.leftmost_pattern_minimizer(pattern) == scheme.window_minimizer(
-            pattern[:4]
-        )
+        patterns = [[1, 0, 0, 1, 1, 0], [0, 1, 1, 1], [1, 1, 1, 0, 0]]
+        for order in ("lexicographic", "random"):
+            scheme = MinimizerScheme(ell=4, sigma=2, k=2, order=order)
+            # The first window's minimizer is the one selected position of
+            # the pattern's length-ℓ prefix.
+            expected = [brute_minimizers(pattern[:4], scheme) for pattern in patterns]
+            offsets = scheme.leftmost_pattern_minimizers(patterns)
+            assert [[int(offset)] for offset in offsets] == expected
 
     def test_string_shorter_than_window_has_no_minimizers(self):
         scheme = MinimizerScheme(ell=8, sigma=2, k=2)

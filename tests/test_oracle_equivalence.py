@@ -4,10 +4,10 @@ A seeded randomized sweep over alphabet size σ, threshold z (integral and
 fractional) and window length ℓ: for each generated weighted string, all six
 index variants (WST, WSA, MWST, MWSA, MWST-G, MWSA-G) plus the
 space-efficient construction, the sharded architecture (a 3-shard MWSA whose
-overlap makes boundary-straddling patterns exact) and the batch engine must
-return exactly the brute-force ``Occ_{1/z}`` oracle on a mixed pattern
-workload (valid samples from the z-estimation, uniform random patterns, and
-mutated valid patterns).
+overlap makes boundary-straddling patterns exact) and whole ``match_many``
+batches must return exactly the brute-force ``Occ_{1/z}`` oracle on a mixed
+pattern workload (valid samples from the z-estimation, uniform random
+patterns, and mutated valid patterns).
 
 With 54 seeded cases and every variant checked in each, this exceeds the
 50-cases-per-variant bar and pins the query semantics while hot paths are
@@ -118,10 +118,10 @@ def test_all_variants_match_brute_force_oracle(sigma, z, ell, n, seed):
             assert index.locate(pattern) == oracle[tuple(pattern)], (
                 f"{kind} disagrees with the oracle on {pattern}"
             )
-        # The batch engine must agree with the oracle (hence with locate).
+        # Whole batches must agree with the oracle (hence with locate).
         batch = index.match_many(supported)
         assert batch == [oracle[tuple(pattern)] for pattern in supported], (
-            f"{kind} batch engine disagrees with the oracle"
+            f"{kind} batch disagrees with the oracle"
         )
 
 

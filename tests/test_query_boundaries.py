@@ -81,7 +81,7 @@ def test_plain_and_grid_agree_on_boundary_lengths(sigma, z, ell, seed):
             assert index.locate(pattern) == oracle, (
                 f"{kind} diverges at boundary length {len(pattern)} (ell={ell})"
             )
-    # The batch engine walks a different code path; it must agree too.
+    # Whole batches (more than one distinct pattern) must agree too.
     for kind, index in indexes.items():
         assert index.match_many(patterns) == [
             brute_force_occurrences(source, pattern, z) for pattern in patterns

@@ -20,7 +20,6 @@ from repro.datasets.patterns import sample_valid_patterns
 from repro.errors import PatternError, QueryError
 from repro.indexes import (
     EMPTY_PATTERN_MESSAGE,
-    BatchQueryEngine,
     Query,
     QueryMode,
     QueryPlanner,
@@ -308,16 +307,25 @@ class TestEmptyPatternSemantics:
 
 
 class TestPlannerStrategies:
-    def test_scalar_vs_batch_strategy(self, indexes, patterns):
-        planner = QueryPlanner(indexes["MWSA"])
+    def test_one_pattern_is_a_batch_of_one(self, indexes, patterns, monkeypatch):
+        index = indexes["MWSA"]
+        batch_sizes = []
+        batch_locate = type(index)._batch_locate
+
+        def spy(self, code_lists):
+            batch_sizes.append(len(code_lists))
+            return batch_locate(self, code_lists)
+
+        monkeypatch.setattr(type(index), "_batch_locate", spy)
+        planner = QueryPlanner(index)
         planner.execute([patterns[0]])
-        assert planner.last_stats["strategy"] == "scalar"
+        assert "strategy" not in planner.last_stats
         assert planner.last_stats["fan_out"] is False
         planner.execute(patterns[:3])
-        assert planner.last_stats["strategy"] == "batch"
-        assert planner.last_stats["unique_patterns"] == len(
-            {tuple(p) for p in patterns[:3]}
-        )
+        unique = len({tuple(p) for p in patterns[:3]})
+        assert planner.last_stats["unique_patterns"] == unique
+        assert index.locate(patterns[0]) == planner.execute([patterns[0]])[0].positions
+        assert batch_sizes == [1, unique, 1, 1]
 
     def test_sharded_fan_out_recorded(self, indexes, patterns):
         planner = QueryPlanner(indexes["SHARDED"])
@@ -331,16 +339,6 @@ class TestPlannerStrategies:
         assert planner.last_stats["unique_patterns"] == 1
         assert results[0].positions == results[1].positions
         assert results[2].count == len(results[0].positions)
-
-    def test_engine_compat_wrapper(self, indexes, patterns):
-        engine = BatchQueryEngine(indexes["MWSA"])
-        results = engine.match_many([patterns[0], patterns[0]])
-        assert engine.last_stats == {
-            "patterns": 2,
-            "unique_patterns": 1,
-            "generation": 0,
-        }
-        assert results[0] == indexes["MWSA"].locate(patterns[0])
 
     def test_sweep_counts_subqueries(self, indexes, patterns):
         planner = QueryPlanner(indexes["MWSA"])
