@@ -13,6 +13,11 @@ over the synthetic sparse-uncertainty dataset; the timed payloads are
   search walks the tries once per searched piece on MWST / MWST-G and is
   one packed-key search over all pieces on MWSA / MWSA-G.
 
+Beside the four kinds, a 4-shard MWSA row times the sharded query: one
+split of the batch, a leaf search in every shard and one verification
+against the parent string.  The run fails (exit 1) when that row's answers
+differ from the monolithic MWSA's.
+
 Run standalone; CI uses tiny parameters as a smoke test::
 
     python benchmarks/bench_batch_query_throughput.py --length 600 --patterns 100
@@ -35,6 +40,8 @@ from repro.datasets.synthetic import sparse_uncertainty_string
 from repro.indexes import build_index
 
 KINDS = ("MWSA", "MWST", "MWSA-G", "MWST-G")
+SHARDS = 4
+SHARDED_ROW = f"{SHARDS}-shard MWSA"
 DEFAULT_LENGTH = 4000
 DEFAULT_PATTERNS = 1000
 DEFAULT_Z = 8.0
@@ -80,10 +87,15 @@ def main(argv=None) -> int:
         f"workload: n={len(source)}, z={arguments.z:g}, ell={arguments.ell}, "
         f"{len(patterns)} patterns"
     )
-    for kind in arguments.kinds:
-        index = build_index(
-            source, arguments.z, kind=kind, ell=arguments.ell, estimation=estimation
-        )
+    monolithic = build_index(
+        source, arguments.z, kind="MWSA", ell=arguments.ell, estimation=estimation
+    ).match_many(patterns)
+    rows = [(kind, kind, {"estimation": estimation}) for kind in arguments.kinds]
+    rows.append(
+        (SHARDED_ROW, "MWSA", {"shards": SHARDS, "max_pattern_len": 2 * arguments.ell})
+    )
+    for label, kind, options in rows:
+        index = build_index(source, arguments.z, kind=kind, ell=arguments.ell, **options)
         index.match_many(patterns[:5])  # warm the caches outside the timers
         started = time.perf_counter()
         per_pattern = run_per_pattern(index, patterns)
@@ -91,12 +103,15 @@ def main(argv=None) -> int:
         batch = run_batch(index, patterns)
         finished = time.perf_counter()
         if per_pattern != batch:
-            print(f"{kind}: MISMATCH between per-pattern and batch results")
+            print(f"{label}: MISMATCH between per-pattern and batch results")
+            return 1
+        if label == SHARDED_ROW and batch != monolithic:
+            print(f"{label}: MISMATCH with the monolithic MWSA's answers")
             return 1
         per_pattern_rate = len(patterns) / (mid - started)
         batch_rate = len(patterns) / (finished - mid)
         print(
-            f"{kind}: per-pattern {per_pattern_rate:,.0f} pat/s, "
+            f"{label}: per-pattern {per_pattern_rate:,.0f} pat/s, "
             f"batch {batch_rate:,.0f} pat/s, speedup {batch_rate / per_pattern_rate:.1f}x"
         )
     return 0

@@ -361,8 +361,8 @@ class UncertainStringIndex(abc.ABC):
         one :func:`~repro.indexes.verification.exact_occurrence_products`
         gather per pattern (this is how the WST/WSA baselines answer — their
         property structures never compute probabilities).  The minimizer
-        families override this to surface the products straight out of their
-        verification stage; the sharded index fans it out per shard.
+        families, sharded or not, override this to surface the products
+        straight out of their verification stage.
         """
         from .verification import exact_occurrence_products
 

@@ -65,25 +65,59 @@ __all__ = [
 def _concat_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Concatenated ``[lo[i], hi[i])`` ranges as one flat index array."""
     counts = hi - lo
-    total = int(counts.sum())
+    ends = counts.cumsum()
+    total = int(ends[-1]) if len(ends) else 0
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    return np.repeat(lo, counts) + np.arange(total, dtype=np.int64) - np.repeat(
-        starts, counts
-    )
+    # Output slot k of range i (slots ends[i] - counts[i] .. ends[i] - 1)
+    # holds lo[i] + k - (ends[i] - counts[i]) = k + hi[i] - ends[i].
+    return (hi - ends).repeat(counts) + np.arange(total, dtype=np.int64)
 
 
 def _concat_ranges_reversed(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Like :func:`_concat_ranges` but each range is emitted in reverse."""
     counts = hi - lo
-    total = int(counts.sum())
+    ends = counts.cumsum()
+    total = int(ends[-1]) if len(ends) else 0
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    return np.repeat(hi - 1, counts) - (
-        np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-    )
+    # Slot k of range i holds hi[i] - 1 - (k - (ends[i] - counts[i])).
+    return (lo + ends - 1).repeat(counts) - np.arange(total, dtype=np.int64)
+
+
+def _pack_letters(letters: np.ndarray, size: int) -> np.ndarray:
+    """Packed keys of a letter matrix at ``size`` bytes per letter.
+
+    See :meth:`LeafCollection._pack`; ``-1`` (past a leaf's or a piece's
+    end) packs to 0.
+    """
+    packed = np.ascontiguousarray((letters + 1).astype(f">u{size}"))
+    return packed.view(f"S{letters.shape[1] * size}")[:, 0]
+
+
+def piece_letters(pieces, width: int) -> np.ndarray:
+    """The first ``width`` letters of each piece, ``-1`` past its end."""
+    letters = np.full((len(pieces), width), -1, dtype=np.int64)
+    for row, piece in enumerate(pieces):
+        head = piece[:width]
+        letters[row, : len(head)] = head
+    return letters
+
+
+def piece_bounds(letters: np.ndarray, letter_bytes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The packed low and high search keys of a piece letter matrix.
+
+    ``letters`` holds one piece per row, ``-1`` past its end.  The low key
+    pads a piece with past-end markers and the high key with the sentinel
+    above every letter.  Query letters above every leaf letter saturate at
+    the letter the sentinel encodes: they can never equal a leaf letter,
+    and the sentinel sorts after every leaf letter, so the order is kept.
+    The keys depend on the collection only through ``letter_bytes``.
+    """
+    top = 256**letter_bytes - 2
+    low = np.minimum(letters, top)
+    high = np.where(letters < 0, top, low)
+    return _pack_letters(low, letter_bytes), _pack_letters(high, letter_bytes)
 
 
 @dataclass(frozen=True)
@@ -522,9 +556,7 @@ class LeafCollection:
         proper prefixes first.  Every sort, update merge and prefix search of
         the leaves compares these keys.
         """
-        size = self._letter_bytes
-        packed = np.ascontiguousarray((letters + 1).astype(f">u{size}"))
-        return packed.view(f"S{letters.shape[1] * size}")[:, 0]
+        return _pack_letters(letters, self._letter_bytes)
 
     # -- sorting ---------------------------------------------------------------------
     def _stable_content_order(
@@ -681,7 +713,7 @@ class LeafCollection:
         return order
 
     # -- searching -----------------------------------------------------------------------
-    def prefix_range_many(self, pieces: list) -> np.ndarray:
+    def prefix_range_many(self, pieces: list, bounds=None) -> np.ndarray:
         """Sorted-index range ``[lo, hi)`` of the leaves starting with each piece.
 
         Returns a ``(B × 2)`` array, one row per piece.
@@ -691,28 +723,24 @@ class LeafCollection:
         of every leaf (built on the first search).  A piece's low key pads
         it with past-end markers, its high key with the sentinel above every
         letter, so together they bracket exactly the leaves that start with
-        the piece's first letters.  Pieces longer than the keys are then
-        narrowed by :meth:`_refine_long_pieces`.
+        the piece's first letters (:func:`piece_bounds`).  ``bounds`` passes
+        those two key arrays when the caller already packed them at this
+        collection's :attr:`_letter_bytes` — a sharded query packs a batch
+        once for every shard.  Pieces longer than the keys are then narrowed
+        by :meth:`_refine_long_pieces`.
         """
         ranges = np.zeros((len(pieces), 2), dtype=np.int64)
-        if not pieces or not len(self._arrays):
+        if not len(pieces) or not len(self._arrays):
             return ranges
         width = self.SEARCH_PREFIX_LIMIT
         if self._search_keys is None:
             every_row = np.arange(len(self._arrays), dtype=np.int64)
             self._search_keys = self._pack(self._content_matrix(every_row, 0, width))
-        # Query letters above every leaf letter saturate at the letter the
-        # sentinel encodes: they can never equal a leaf letter, and the
-        # sentinel sorts after every leaf letter, so the order is kept.
-        top = 256**self._letter_bytes - 2
-        low = np.full((len(pieces), width), -1, dtype=np.int64)
-        high = np.full((len(pieces), width), top, dtype=np.int64)
-        for row, piece in enumerate(pieces):
-            head = np.minimum(np.asarray(piece[:width], dtype=np.int64), top)
-            low[row, : len(head)] = head
-            high[row, : len(head)] = head
-        ranges[:, 0] = np.searchsorted(self._search_keys, self._pack(low), side="left")
-        ranges[:, 1] = np.searchsorted(self._search_keys, self._pack(high), side="right")
+        if bounds is None:
+            bounds = piece_bounds(piece_letters(pieces, width), self._letter_bytes)
+        low, high = bounds
+        ranges[:, 0] = self._search_keys.searchsorted(low, side="left")
+        ranges[:, 1] = self._search_keys.searchsorted(high, side="right")
         long_rows = [row for row, piece in enumerate(pieces) if len(piece) > width]
         if long_rows:
             self._refine_long_pieces(ranges, long_rows, [pieces[row] for row in long_rows])
@@ -839,8 +867,9 @@ class MinimizerIndexData:
     ``forward`` holds the ``Tsuff`` content (factors read rightward from
     their minimizer), ``backward`` the ``Tpref`` content (read leftward);
     ``pairs`` links leaves with equal minimizer labels and feeds the 2D grid
-    of the *-G* variants (``None`` when built by the space-efficient
-    construction, which does not produce the pairing).
+    of the *-G* variants; it is ``None`` when built for another kind (only
+    the grid reads it) and when built by the space-efficient construction,
+    which does not produce it.
     """
 
     source: WeightedString

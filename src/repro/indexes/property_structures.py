@@ -73,7 +73,6 @@ class PropertySuffixStructure:
         cls,
         text: np.ndarray,
         sa: np.ndarray,
-        lcp: np.ndarray | None,
         rank_positions: np.ndarray,
         rank_valid_lengths: np.ndarray,
         width: int,
@@ -83,12 +82,14 @@ class PropertySuffixStructure:
 
         Skips the estimation concatenation and the suffix sort entirely; only
         the O(N log N)-word range-maximum table — a query-acceleration cache,
-        not a construction artefact — is derived from the loaded arrays.
+        not a construction artefact — is derived from the loaded arrays.  The
+        LCP array is a construction artefact (the WST builds its trie from
+        it) and stays ``None``.
         """
         structure = cls.__new__(cls)
         structure.text = np.asarray(text, dtype=np.int64)
         structure.sa = np.asarray(sa, dtype=np.int64)
-        structure.lcp = None if lcp is None else np.asarray(lcp, dtype=np.int64)
+        structure.lcp = None
         structure.position_in_x = None  # derivable; not needed after construction
         structure.rank_positions = np.asarray(rank_positions, dtype=np.int64)
         structure.rank_valid_lengths = np.asarray(rank_valid_lengths, dtype=np.int64)

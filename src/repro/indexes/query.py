@@ -15,7 +15,9 @@ or sharded — runs through one pipeline:
   answers its distinct patterns with one call of the index's
   ``_batch_locate`` hook, or of ``_batch_locate_probs`` for the patterns a
   probability-reporting query references.  A single query is a batch of
-  one; the sharded index fans either hook out across its shards.
+  one; a sharded minimizer index splits the batch once, searches every
+  shard's leaves and verifies once, and a sharded baseline fans it out
+  across its shards.
 
 Exactness contract: ``locate`` positions equal the brute-force
 ``Occ_{1/z}`` oracle, and every reported probability equals the brute-force
@@ -173,7 +175,7 @@ class QueryResult:
 class ExecutionPlan:
     """A validated, deduplicated batch of queries.
 
-    ``fan_out`` records whether the index distributes the batch across
+    ``fan_out`` records whether the index answers the batch across
     shards.  ``assignment[i]`` maps query ``i`` to its slot in
     ``unique_codes``; ``z_values[i]`` lists the effective thresholds the
     query must be answered at; ``probability_slots`` are the unique-pattern

@@ -6,11 +6,18 @@ chunk.  Consecutive shards overlap by ``max_pattern_len - 1`` positions, so
 every occurrence of a pattern of length ``m <= max_pattern_len`` is fully
 contained in at least one shard; each shard *owns* the occurrences starting
 inside its core (non-overlap) range, which makes the merged answer an exact,
-duplicate-free reconstruction of the monolithic answer.  Every query, of
-one pattern or many, fans the deduplicated pattern batch out across the
-shards (``_batch_locate`` / ``_batch_locate_probs``), shifts each shard's
-local positions by the shard start, keeps only owned starts and merges per
-pattern.
+duplicate-free reconstruction of the monolithic answer.
+
+Minimizer shards (every shard shares one :class:`MinimizerScheme`, checked
+at construction and on load) are leaf collections with offsets, queried by
+the one minimizer pipeline of :func:`~repro.indexes.mwst.query_leaf_collections`:
+the batch is split at its leftmost minimizers once, every shard's leaves are
+searched for the pieces, hits are shifted by the shard start and kept only
+inside the shard's core, repeats are dropped in one vectorised step, and the
+whole batch is verified once against the parent source — the same rows the
+shards were built from, so answers and probabilities are bit-identical to
+the monolithic index.  Baseline shards (WST / WSA) answer exactly on their
+own, so their batch fans out per shard and the owned starts are merged.
 
 Shard construction is embarrassingly parallel: with ``workers > 1`` the
 shards are built in separate processes via :mod:`multiprocessing` and the
@@ -32,6 +39,7 @@ import numpy as np
 from ..core.weighted_string import WeightedString
 from ..errors import ConstructionError
 from .base import UncertainStringIndex
+from .mwst import MinimizerIndexBase, query_leaf_collections
 from .space import IndexStats
 
 __all__ = ["Shard", "ShardedIndex", "plan_shards"]
@@ -85,6 +93,32 @@ def _build_shard(payload):
     return build_index(source, z, kind=kind, ell=ell, **options)
 
 
+def _leaf_parts(shards: list[Shard], indexes: list[UncertainStringIndex]):
+    """The shards as leaf parts of one minimizer query, or ``None`` for baselines.
+
+    One query splits every pattern once for all shards, so every shard must
+    be a minimizer index of one kind with one :class:`MinimizerScheme` (ℓ,
+    σ, k and order); anything else raises :class:`ConstructionError`.
+    """
+    if not any(isinstance(index, MinimizerIndexBase) for index in indexes):
+        return None
+    kinds = {type(index).__name__ for index in indexes}
+    if len(kinds) > 1:
+        raise ConstructionError(f"a sharded index mixes index kinds {sorted(kinds)}")
+    schemes = {
+        (scheme.ell, scheme.sigma, scheme.k, scheme.order)
+        for scheme in (index.data.scheme for index in indexes)
+    }
+    if len(schemes) > 1:
+        raise ConstructionError(
+            f"the shards use different minimizer schemes {sorted(schemes)}; "
+            "one query splits each pattern once for every shard"
+        )
+    return [
+        (index, shard.start, shard.core_end) for shard, index in zip(shards, indexes)
+    ]
+
+
 class ShardedIndex(UncertainStringIndex):
     """A horizontally sharded uncertain-string index.
 
@@ -119,6 +153,7 @@ class ShardedIndex(UncertainStringIndex):
             list(generations) if generations is not None else [0] * len(shards)
         )
         self.name = f"SHARDED[{kind}]"
+        self._leaf_parts = _leaf_parts(shards, indexes)
 
     # -- construction -----------------------------------------------------------------
     @classmethod
@@ -270,7 +305,8 @@ class ShardedIndex(UncertainStringIndex):
         that changed, the other kinds rebuild themselves in place.  The rows
         go in bit for bit (``normalize=False``): they were coerced once, by
         the parent, and normalising them again could move a last ulp and
-        make the shard's probabilities differ from the monolithic ones.
+        make the shard's estimation and leaves differ from those a fresh
+        build derives from the parent's rows.
         Clean shards keep their structures untouched — their slice of the
         probability matrix did not change — so the merged answers stay
         bit-identical to a full rebuild over the mutated string.
@@ -319,71 +355,35 @@ class ShardedIndex(UncertainStringIndex):
         }
 
     # -- queries ----------------------------------------------------------------------
-    @staticmethod
-    def _accumulate(shard: Shard, local_positions, owned: set[int]) -> None:
-        """Shift one shard's local starts and keep only the starts it owns.
-
-        A global start belongs to the shard whose core contains it, so
-        filtering on the core upper bound yields each occurrence exactly once.
-        """
-        for position in local_positions:
-            globally = shard.start + int(position)
-            if globally < shard.core_end:
-                owned.add(globally)
-
-    def _fitting_rows(self, code_lists: list, shard: Shard) -> list[int]:
-        """Rows of the batch whose patterns fit inside ``shard``.
-
-        Short tail shards never run the query machinery on patterns they
-        cannot contain.
-        """
-        return [
-            row
-            for row in range(len(code_lists))
-            if len(code_lists[row]) <= shard.length
-        ]
-
     def _batch_locate(self, code_lists: list) -> list[list[int]]:
-        """Fan the deduplicated batch out across the shards and merge back."""
-        owned: list[set[int]] = [set() for _ in code_lists]
+        """Minimizer shards: one pipeline over every shard's leaves; baselines fan out."""
+        if self._leaf_parts is not None:
+            return query_leaf_collections(
+                self._source, self._z, code_lists, self._leaf_parts
+            )
+        lengths = np.fromiter(map(len, code_lists), dtype=np.int64, count=len(code_lists))
+        owned: list[list[int]] = [[] for _ in code_lists]
         for shard, index in zip(self._shards, self._indexes):
-            rows = self._fitting_rows(code_lists, shard)
+            rows = np.flatnonzero(lengths <= shard.length).tolist()
             if not rows:
                 continue
-            shard_results = index._batch_locate([code_lists[row] for row in rows])
-            for row, local_positions in zip(rows, shard_results):
-                self._accumulate(shard, local_positions, owned[row])
-        return [sorted(positions) for positions in owned]
+            answers = index._batch_locate([code_lists[row] for row in rows])
+            for row, local_positions in zip(rows, answers):
+                # A global start belongs to the shard whose core holds it, and
+                # shards come in position order, so each list stays sorted.
+                starts = shard.start + np.asarray(local_positions, dtype=np.int64)
+                owned[row].extend(starts[starts < shard.core_end].tolist())
+        return owned
 
     def _batch_locate_probs(self, code_lists: list):
-        """Probability-carrying fan-out: merge per-shard ``(positions, probs)``.
+        """Probabilities come from the parent source's rows.
 
-        A shard computes each occurrence's probability from its own slice of
-        the probability matrix — the very same ``float64`` entries in the
-        same order as the monolithic index — so merged probabilities are
-        bit-identical to the monolithic answer.
+        They are the very same ``float64`` rows the shards were built from,
+        so the products equal the monolithic index's bit for bit.
         """
-        owned: list[dict[int, float]] = [{} for _ in code_lists]
-        for shard, index in zip(self._shards, self._indexes):
-            rows = self._fitting_rows(code_lists, shard)
-            if not rows:
-                continue
-            shard_results = index._batch_locate_probs(
-                [code_lists[row] for row in rows]
+        if self._leaf_parts is not None:
+            return query_leaf_collections(
+                self._source, self._z, code_lists, self._leaf_parts,
+                with_probabilities=True,
             )
-            for row, (local_positions, probabilities) in zip(rows, shard_results):
-                mapping = owned[row]
-                for position, probability in zip(local_positions, probabilities):
-                    globally = shard.start + int(position)
-                    if globally < shard.core_end:
-                        mapping[globally] = float(probability)
-        out = []
-        for mapping in owned:
-            positions = sorted(mapping)
-            out.append(
-                (
-                    positions,
-                    np.array([mapping[p] for p in positions], dtype=np.float64),
-                )
-            )
-        return out
+        return super()._batch_locate_probs(code_lists)

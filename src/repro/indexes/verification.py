@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from itertools import accumulate
 
 import numpy as np
 
@@ -100,20 +99,23 @@ def verify_candidate_batches(
     source: WeightedString,
     z: float,
     patterns: Sequence[Sequence[int]],
-    candidates_per_pattern: Sequence,
+    rows,
+    starts,
     *,
     with_probabilities: bool = False,
 ) -> list:
-    """Verify the candidate sets of a whole pattern batch with grouped array ops.
+    """Verify the candidates of a whole pattern batch with grouped array ops.
 
-    For every pattern ``patterns[i]`` with candidate start array
-    ``candidates_per_pattern[i]`` (sorted, deduplicated; ``None`` or empty
-    means no candidates), returns the sorted list of z-valid occurrence
-    positions.  Patterns of equal length share one fancy-indexing gather
-    over the source's log-probability cache, so the number of NumPy
-    dispatches scales with the number of distinct pattern lengths, not with
-    the batch size.  Every minimizer-index query verifies through it;
-    :func:`verify_candidates_against_source` is its one-pattern sibling.
+    The candidates come flat: candidate ``i`` is start ``starts[i]`` of
+    pattern ``patterns[rows[i]]``, ordered by row and then by start, without
+    repeats.  Returns, for every pattern, the sorted list of its z-valid
+    occurrence positions.  Candidates of patterns of equal length share one
+    fancy-indexing gather over the source's log-probability cache, so the
+    number of NumPy dispatches scales with the number of distinct pattern
+    lengths, not with the batch size or the number of leaf collections the
+    candidates came from.  Every minimizer-index query verifies through it,
+    once per batch; :func:`verify_candidates_against_source` is its
+    one-pattern sibling.
 
     With ``with_probabilities=True`` each entry becomes a
     ``(positions, probabilities)`` pair: the verification stage computes the
@@ -126,43 +128,48 @@ def verify_candidate_batches(
     brute-force product oracle exactly.
     """
     z = validate_threshold(z)
-    results: list[list[int]] = [[] for _ in patterns]
-    probabilities_out: list[np.ndarray] = [
-        np.zeros(0, dtype=np.float64) for _ in patterns
-    ]
-    by_length: dict[int, list[int]] = {}
-    for row, candidates in enumerate(candidates_per_pattern):
-        if candidates is not None and len(candidates):
-            by_length.setdefault(len(patterns[row]), []).append(row)
+    count = len(patterns)
+    rows = np.asarray(rows, dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.fromiter(map(len, patterns), dtype=np.int64, count=count)
     n = len(source)
-    log_matrix = source.log_matrix
-    for m, rows in by_length.items():
-        if m > n:
-            continue  # every candidate overhangs the string: nothing is valid
-        sizes = [len(candidates_per_pattern[row]) for row in rows]
-        starts = np.concatenate([candidates_per_pattern[row] for row in rows])
-        # An out-of-range start reads a clamped, in-range window; the
-        # comparison with its own start masks it out afterwards.
-        clamped = np.minimum(np.maximum(starts, 0), n - m)
-        letter_rows = clamped[:, None] + np.arange(m, dtype=np.int64)
-        letter_columns = np.repeat(
-            np.array([patterns[row] for row in rows], dtype=np.int64), sizes, axis=0
-        )
-        gathered = log_matrix[letter_rows, letter_columns]
-        probabilities = np.exp(gathered.sum(axis=1))
-        solid = solid_probability_mask(probabilities, z) & (clamped == starts)
-        if with_probabilities:
-            products = np.multiply.reduce(
-                source.matrix[letter_rows, letter_columns], axis=1
+    solid = np.zeros(len(rows), dtype=bool)
+    products = np.zeros(len(rows), dtype=np.float64) if with_probabilities else None
+    if len(rows):
+        codes = np.concatenate([np.asarray(p, dtype=np.int64) for p in patterns])
+        offsets = lengths.cumsum() - lengths
+        candidate_lengths = lengths[rows]
+        log_matrix = source.log_matrix
+        for m in set(lengths.tolist()):
+            if m > n:
+                continue  # every candidate overhangs the string: nothing is valid
+            group = (candidate_lengths == m).nonzero()[0]
+            if not len(group):
+                continue
+            group_starts = starts[group]
+            # An out-of-range start reads a clamped, in-range window; the
+            # comparison with its own start masks it out afterwards.
+            clamped = np.minimum(np.maximum(group_starts, 0), n - m)
+            columns = np.arange(m, dtype=np.int64)
+            letter_rows = clamped[:, None] + columns
+            letter_columns = codes[offsets[rows[group]][:, None] + columns]
+            gathered = log_matrix[letter_rows, letter_columns]
+            solid[group] = solid_probability_mask(np.exp(gathered.sum(axis=1)), z) & (
+                clamped == group_starts
             )
-        ends = list(accumulate(sizes))
-        for row, lo, hi in zip(rows, [0] + ends, ends):
-            row_solid = solid[lo:hi]
-            results[row] = starts[lo:hi][row_solid].tolist()
             if with_probabilities:
-                probabilities_out[row] = products[lo:hi][row_solid]
+                products[group] = np.multiply.reduce(
+                    source.matrix[letter_rows, letter_columns], axis=1
+                )
+    kept_rows = rows[solid]
+    bounds = kept_rows.searchsorted(np.arange(count + 1)).tolist()
+    positions = starts[solid].tolist()
+    results = [positions[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     if with_probabilities:
-        return list(zip(results, probabilities_out))
+        kept = products[solid]
+        return [
+            (result, kept[lo:hi]) for result, lo, hi in zip(results, bounds, bounds[1:])
+        ]
     return results
 
 

@@ -87,6 +87,7 @@ from ..core.alphabet import Alphabet
 from ..core.heavy import HeavyString
 from ..core.weighted_string import WeightedString
 from ..errors import (
+    ConstructionError,
     StoreCorruptionError,
     StoreError,
     StoreFormatError,
@@ -660,7 +661,8 @@ def _pack_body(index, arrays: dict, prefix: str) -> dict:
             for side, collection in (("fwd", data.forward), ("bwd", data.backward)):
                 for name, array in collection.build_trie().to_arrays().items():
                     arrays[f"{prefix}{side}.trie.{name}"] = array
-        if data.pairs is not None:
+        has_pairs = index.use_grid and data.pairs is not None
+        if has_pairs:  # only the grid query reads the leaf pairing
             arrays[f"{prefix}pairs"] = np.array(data.pairs, dtype=np.int64).reshape(
                 len(data.pairs), 2
             )
@@ -687,15 +689,13 @@ def _pack_body(index, arrays: dict, prefix: str) -> dict:
                 "k": scheme.k,
                 "order": scheme.order,
             },
-            "has_pairs": data.pairs is not None,
+            "has_pairs": has_pairs,
             "stats": _stats_meta(index.stats),
         }
     if isinstance(index, (WeightedSuffixArray, WeightedSuffixTree)):
         structure = index.structure
         arrays[f"{prefix}ps.text"] = structure.text
         arrays[f"{prefix}ps.sa"] = structure.sa
-        if structure.lcp is not None:
-            arrays[f"{prefix}ps.lcp"] = structure.lcp
         if isinstance(index, WeightedSuffixTree):
             for name, array in index._trie.to_arrays().items():
                 arrays[f"{prefix}ps.trie.{name}"] = array
@@ -762,9 +762,10 @@ def _unpack_minimizer(container: _Container, meta: dict, prefix: str, source, z:
         container, f"{prefix}bwd", heavy.codes[::-1].copy(), backward_lcps
     )
     pairs = None
-    if meta.get("has_pairs"):
-        # One bulk conversion: a per-row loop builds a view and two numpy
-        # scalars for every pair.
+    if cls.use_grid and meta.get("has_pairs"):
+        # Older stores carry the pairing for every kind; only the grid reads
+        # it.  One bulk conversion: a per-row loop builds a view and two
+        # numpy scalars for every pair.
         pairs = [tuple(pair) for pair in container.array(f"{prefix}pairs").tolist()]
     data = MinimizerIndexData(
         source=source,
@@ -808,12 +809,11 @@ def _unpack_baseline(container: _Container, meta: dict, prefix: str, source, z: 
     from ..indexes.wst import WeightedSuffixTree, _SuffixLetterAccessor
     from ..strings.trie import _CSR_ARRAY_NAMES, CompactedTrie
 
-    with_lcp = meta["family"] == "wst"
-    lcp = container.array(f"{prefix}ps.lcp") if with_lcp else None
+    # Older WST stores also carry ``ps.lcp``: the stored trie replaced its
+    # only reader, so it is left unread.
     structure = PropertySuffixStructure.from_arrays(
         container.array(f"{prefix}ps.text"),
         container.array(f"{prefix}ps.sa"),
-        lcp,
         container.array(f"{prefix}ps.rank_positions"),
         container.array(f"{prefix}ps.rank_valid_lengths"),
         int(meta["estimation_width"]),
@@ -834,7 +834,7 @@ def _unpack_baseline(container: _Container, meta: dict, prefix: str, source, z: 
 
 
 def _unpack_sharded(container: _Container, meta: dict, prefix: str, source, z: float):
-    from ..indexes.sharded import Shard, ShardedIndex
+    from ..indexes.sharded import Shard
 
     shards = []
     indexes = []
@@ -847,7 +847,8 @@ def _unpack_sharded(container: _Container, meta: dict, prefix: str, source, z: f
         indexes.append(
             _unpack_body(container, shard_meta, f"{prefix}s{number}.", shard_source, z)
         )
-    return ShardedIndex(
+    return _sharded_index(
+        container.path,
         source,
         z,
         shards,
@@ -857,6 +858,16 @@ def _unpack_sharded(container: _Container, meta: dict, prefix: str, source, z: f
         _stats_from_meta(meta["stats"]),
         generations=generations,
     )
+
+
+def _sharded_index(path, *args, **kwargs):
+    """A :class:`ShardedIndex` over loaded shards; inconsistent shards are a format error."""
+    from ..indexes.sharded import ShardedIndex
+
+    try:
+        return ShardedIndex(*args, **kwargs)
+    except ConstructionError as exc:
+        raise StoreFormatError(f"{path}: {exc}") from exc
 
 
 # --------------------------------------------------------------------------- #
@@ -1326,7 +1337,7 @@ def recover_sharded_store(directory, *, mmap: bool = False):
             )
     if manifest_repaired:
         _write_manifest(directory, manifest)
-    index = _assemble_sharded(manifest, shards, indexes, generations)
+    index = _assemble_sharded(directory, manifest, shards, indexes, generations)
     if manifest_repaired:
         # A shard fell back to an older generation file: the applied markers
         # no longer vouch for it, so replay the *whole* WAL — updates are
@@ -1517,7 +1528,9 @@ def compact_store(directory) -> dict:
     }
 
 
-def _assemble_sharded(manifest: dict, shards, indexes, generations, previous=None):
+def _assemble_sharded(
+    directory, manifest: dict, shards, indexes, generations, previous=None
+):
     """Build the parent :class:`ShardedIndex` from loaded shard indexes.
 
     The parent source is stacked from the shard cores.  Given the
@@ -1526,7 +1539,6 @@ def _assemble_sharded(manifest: dict, shards, indexes, generations, previous=Non
     and a log-probability cache the previous source computed is carried
     over with only those rows recomputed.
     """
-    from ..indexes.sharded import ShardedIndex
     from ..indexes.space import IndexStats
 
     alphabet = Alphabet(manifest["alphabet"])
@@ -1561,7 +1573,8 @@ def _assemble_sharded(manifest: dict, shards, indexes, generations, previous=Non
             "generations": list(generations),
         },
     )
-    return ShardedIndex(
+    return _sharded_index(
+        directory,
         source,
         float(manifest["z"]),
         shards,
@@ -1594,7 +1607,7 @@ def load_sharded_store(directory, *, mmap: bool = True, verify: bool | None = No
         shards.append(Shard(start=start, core_end=core_end, end=end))
         generations.append(int(entry["generation"]))
         indexes.append(load_index(directory / entry["file"], mmap=mmap, verify=verify))
-    return _assemble_sharded(manifest, shards, indexes, generations)
+    return _assemble_sharded(directory, manifest, shards, indexes, generations)
 
 
 def reload_sharded_store(directory, previous, *, mmap: bool = True):
@@ -1638,5 +1651,5 @@ def reload_sharded_store(directory, previous, *, mmap: bool = True):
         else:
             indexes.append(load_index(directory / entry["file"], mmap=mmap))
             reloaded.append(number)
-    index = _assemble_sharded(manifest, shards, indexes, generations, previous)
+    index = _assemble_sharded(directory, manifest, shards, indexes, generations, previous)
     return index, reloaded

@@ -224,7 +224,11 @@ class TestBatchVerifiers:
             np.array([-1, 0, 5, len(source) + 5], dtype=np.int64),
             np.array([0], dtype=np.int64),
         ]
-        results = verify_candidate_batches(source, z, patterns, candidates)
+        rows = np.concatenate(
+            [np.full(len(c), row) for row, c in enumerate(candidates) if c is not None]
+        )
+        starts = np.concatenate([c for c in candidates if c is not None])
+        results = verify_candidate_batches(source, z, patterns, rows, starts)
         for pattern, cands, got in zip(patterns, candidates, results):
             if cands is None:
                 assert got == []
@@ -247,7 +251,7 @@ class TestBatchVerifiers:
         candidates = np.array([-3, -1, 0, 6, 7, 12], dtype=np.int64)
         for with_probabilities in (False, True):
             (result,) = verify_candidate_batches(
-                certain, 4.0, [[0, 0, 0, 0]], [candidates],
+                certain, 4.0, [[0, 0, 0, 0]], np.zeros(len(candidates), dtype=np.int64), candidates,
                 with_probabilities=with_probabilities,
             )
             positions = result[0] if with_probabilities else result

@@ -176,10 +176,17 @@ def assert_sorted_like_python(collection: LeafCollection) -> None:
     ]
 
 
-def assert_explicit_data(data) -> None:
-    """Both collections sorted like Python; pairs link the two leaves of a label."""
+def assert_explicit_data(data, *, paired: bool = True) -> None:
+    """Both collections sorted like Python; pairs link the two leaves of a label.
+
+    ``paired=False`` is data built for a kind without the grid query, which
+    carries no pairing.
+    """
     assert_sorted_like_python(data.forward)
     assert_sorted_like_python(data.backward)
+    if not paired:
+        assert data.pairs is None
+        return
     forward, backward = data.forward, data.backward
     assert data.pairs == list(
         zip(forward.raw_to_sorted.tolist(), backward.raw_to_sorted.tolist())
@@ -203,7 +210,8 @@ def test_construction_parity_sweep(tmp_path, name, style, n, sigma, z, ell, seed
     built = {kind: build_index(source, z, kind=kind, ell=ell) for kind in ALL_MONOLITHIC}
     for kind, index in built.items():
         assert_index_matches_oracle(index, source, patterns, z, (name, kind))
-    assert_explicit_data(built["MWSA"].data)
+    assert_explicit_data(built["MWSA-G"].data)
+    assert_explicit_data(built["MWSA"].data, paired=False)
 
     # Sharded builds: every shard is an explicit build of its slice.
     sharded = build_index(
@@ -211,7 +219,7 @@ def test_construction_parity_sweep(tmp_path, name, style, n, sigma, z, ell, seed
     )
     assert_index_matches_oracle(sharded, source, patterns, z, (name, "sharded"))
     for shard in sharded.shard_indexes:
-        assert_explicit_data(shard.data)
+        assert_explicit_data(shard.data, paired=False)
 
     # Store round trip: the reloaded index keeps its leaves and pairing.
     grid_index = built["MWSA-G"]

@@ -8,6 +8,7 @@ perturbed just past it (the construction bars are in
 from __future__ import annotations
 
 import copy
+import importlib.util
 import json
 
 import pytest
@@ -30,6 +31,21 @@ def test_committed_snapshot_passes(name, snapshot, capsys):
 
 
 class TestUpdateBars:
+    def test_failed_bar_keeps_json_stdout_parseable(self, capsys):
+        spec = importlib.util.spec_from_file_location(
+            "bench_update_throughput", ROOT / "benchmarks" / "bench_update_throughput.py"
+        )
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        status = bench.main([
+            "--length", "600", "--shards", "2", "--updates", "1", "--patterns", "20",
+            "--json", "--require-speedup", "1000",
+        ])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert json.loads(captured.out)["schema"] == "repro.bench.update_throughput.v1"
+        assert captured.err.startswith("FAIL: monolithic localized update")
+
     def test_snapshot_monolith_speedup_below_the_bar_fails(self):
         snapshot = dict(UPDATE, monolith_speedup=4.9)
         found = violations("update", snapshot)

@@ -33,6 +33,23 @@ def _source(factory, n=60, sigma=3, seed=5):
     return factory(n, sigma=sigma, uncertain_fraction=0.5, seed=seed)
 
 
+def _overlap_patterns(sharded, source, ell):
+    """Random patterns plus heavy-string factors starting in every shard overlap."""
+    rng = np.random.default_rng(2)
+    heavy = source.heavy_codes()
+    patterns = [
+        [int(code) for code in rng.integers(0, source.sigma, size=m)]
+        for m in (ell, ell + 1, 2 * ell)
+        for _ in range(3)
+    ]
+    for shard in sharded.shards:
+        for start in range(shard.core_end, shard.end):
+            for m in (ell, 2 * ell):
+                if start + m <= len(source):
+                    patterns.append([int(code) for code in heavy[start : start + m]])
+    return patterns
+
+
 class TestPlanShards:
     def test_cores_partition_the_input(self):
         shards = plan_shards(100, 7, overlap=9)
@@ -260,3 +277,110 @@ class TestSharedStages:
         assert build_index(source, 4, kind="WSA").locate([0]) is not None
         with pytest.raises(ConstructionError):
             build_index(source, 4, kind="MWSA")
+
+
+class TestOneQueryPipeline:
+    """A sharded minimizer query splits once, searches every shard, verifies once."""
+
+    @pytest.mark.parametrize("kind", ("MWSA", "MWST", "MWSA-G"))
+    def test_one_split_and_one_verification_per_batch(
+        self, random_weighted_string_factory, kind, monkeypatch
+    ):
+        from repro.indexes import mwst
+        from repro.sampling.minimizers import MinimizerScheme
+
+        source = _source(random_weighted_string_factory, n=90)
+        sharded = build_index(source, 4, kind=kind, ell=4, shards=4, max_pattern_len=8)
+        splits = []
+        verified = []
+        leftmost = MinimizerScheme.leftmost_pattern_minimizers
+        verify = mwst.verify_candidate_batches
+
+        def split_spy(self, patterns):
+            splits.append(len(patterns))
+            return leftmost(self, patterns)
+
+        def verify_spy(source, *args, **kwargs):
+            verified.append(source)
+            return verify(source, *args, **kwargs)
+
+        monkeypatch.setattr(MinimizerScheme, "leftmost_pattern_minimizers", split_spy)
+        monkeypatch.setattr(mwst, "verify_candidate_batches", verify_spy)
+        patterns = _overlap_patterns(sharded, source, ell=4)
+        answers = sharded.match_many(patterns)
+        assert splits == [len({tuple(p) for p in patterns})]
+        assert len(verified) == 1 and verified[0] is sharded.source
+        assert answers == [brute_force_occurrences(source, p, 4) for p in patterns]
+
+    @pytest.mark.parametrize("kind", ("MWSA", "MWST", "MWSA-G"))
+    @pytest.mark.parametrize("shard_count", (4, 9))
+    def test_matches_monolithic_through_updates_and_reloads(
+        self, random_weighted_string_factory, tmp_path, kind, shard_count
+    ):
+        from repro.io.store import (
+            load_sharded_store,
+            refresh_sharded_store,
+            reload_sharded_store,
+            save_sharded_store,
+        )
+
+        z, ell = 4.0, 4
+        source = _source(random_weighted_string_factory, n=61, seed=8)
+        sharded = build_index(
+            source, z, kind=kind, ell=ell, shards=shard_count, max_pattern_len=2 * ell
+        )
+        if shard_count == 9:
+            # The tail shard is shorter than the longest patterns, which skip it.
+            assert sharded.shards[-1].length < 2 * ell
+        patterns = _overlap_patterns(sharded, source, ell)
+        directory = tmp_path / "store"
+        save_sharded_store(directory, sharded)
+        served = load_sharded_store(directory)
+
+        def assert_equivalent(index, label):
+            mono = build_index(source, z, kind=kind, ell=ell)
+            expected = [brute_force_occurrences(source, p, z) for p in patterns]
+            assert mono.match_many(patterns) == expected
+            assert index.match_many(patterns) == expected, label
+            for pattern in patterns:
+                assert index.locate_probs(pattern) == mono.locate_probs(pattern), label
+            # Verification reads the parent's rows, never a shard's own cache.
+            assert all(shard.source._log_probs is None for shard in index.shard_indexes)
+
+        assert_equivalent(sharded, "built")
+        assert_equivalent(served, "loaded")
+        overlap = next(s for s in sharded.shards if s.core_end < s.end)
+        report = sharded.apply_updates([(overlap.core_end, {source.alphabet.letter(0): 1.0})])
+        assert len(report.details["rebuilt_shards"]) == 2
+        assert_equivalent(sharded, "updated")
+        refresh_sharded_store(directory, sharded)
+        reloaded, numbers = reload_sharded_store(directory, served)
+        assert numbers == report.details["rebuilt_shards"]
+        assert_equivalent(reloaded, "reloaded")
+
+    def test_shards_with_different_schemes_are_refused(
+        self, random_weighted_string_factory, tmp_path
+    ):
+        from repro.errors import StoreFormatError
+        from repro.indexes import MinimizerWSA, MinimizerWST
+        from repro.io.store import load_sharded_store, save_index, save_sharded_store
+        from repro.sampling.minimizers import MinimizerScheme
+
+        source = _source(random_weighted_string_factory, n=80)
+        sharded = build_index(source, 4, kind="MWSA", ell=4, shards=2, max_pattern_len=8)
+        first, last = sharded.shard_indexes
+        assert last.data.scheme.k != 2
+        other = MinimizerWSA.build(
+            last.source, 4, 4, scheme=MinimizerScheme(4, source.sigma, k=2)
+        )
+        for replacement in (other, MinimizerWST.build(last.source, 4, 4)):
+            with pytest.raises(ConstructionError):
+                ShardedIndex(
+                    source, 4, sharded.shards, [first, replacement], "MWSA", 8,
+                    sharded.stats,
+                )
+        save_sharded_store(tmp_path / "store", sharded)
+        save_index(tmp_path / "store" / "shard-0001.idx", other)
+        with pytest.raises(StoreFormatError, match="minimizer schemes"):
+            load_sharded_store(tmp_path / "store")
+

@@ -40,6 +40,7 @@ from repro.io.store import (
     reload_sharded_store,
     save_index,
     save_sharded_store,
+    stored_arrays,
     verify_store,
 )
 
@@ -363,6 +364,79 @@ class TestVersionTwoStores:
         assert [container_version(directory / e["file"]) for e in manifest["shards"]] == [2, 3]
         compacted = load_sharded_store(directory, mmap=False)
         assert_index_matches_oracle(compacted, source, patterns, Z, "compacted")
+
+
+def container_arrays(path: Path) -> dict:
+    """The array manifest of a store file's JSON header."""
+    with open(path, "rb") as handle:
+        handle.read(8)
+        (length,) = struct.unpack("<Q", handle.read(8))
+        handle.read(4)
+        return json.loads(handle.read(length))["arrays"]
+
+
+# --------------------------------------------------------------------------- #
+# arrays no query reads                                                        #
+# --------------------------------------------------------------------------- #
+class TestUnreadArrays:
+    """Arrays no load path reads are not written; older stores with them load."""
+
+    def test_wst_store_has_no_lcp_and_answers_like_the_build(self, tmp_path):
+        source = mixed_string(150, 4, seed=6)
+        index = build_index(source, Z, kind="WST")
+        path = tmp_path / "wst.idx"
+        save_index(path, index)
+        assert "ps.lcp" not in container_arrays(path)
+        assert "ps.lcp" not in stored_arrays(index)
+        patterns = patterns_for(index, source, seed=7, count=12)
+        for mmap in (True, False):
+            loaded = load_index(path, mmap=mmap)
+            assert loaded.structure.lcp is None
+            assert loaded.match_many(patterns) == index.match_many(patterns)
+            assert_index_matches_oracle(loaded, source, patterns, Z, ("wst", mmap))
+            assert [loaded.locate_probs(p) for p in patterns] == [
+                index.locate_probs(p) for p in patterns
+            ]
+
+    def test_pairing_is_stored_for_grid_kinds_only(self, tmp_path):
+        source = mixed_string(150, 4, seed=8)
+        for kind in ALL_KINDS:
+            save_index(tmp_path / "index.idx", build_index(source, Z, kind=kind, ell=ELL))
+            stored = "pairs" in container_arrays(tmp_path / "index.idx")
+            assert stored == kind.endswith("-G"), kind
+            if kind not in ("WST", "WSA"):
+                loaded = load_index(tmp_path / "index.idx")
+                assert (loaded.data.pairs is not None) == stored, kind
+        assert "pairs" in container_arrays(V2_FILE)  # an older MWSA store still loads
+        assert load_index(V2_FILE).data.pairs is None
+
+    def test_older_wst_store_with_lcp_still_loads_and_verifies(self, tmp_path):
+        from repro.io import store as store_module
+
+        source = mixed_string(150, 4, seed=9)
+        index = build_index(source, Z, kind="WST")
+        arrays = {}
+        body = store_module._pack_body(index, arrays, "")
+        store_module._pack_source(arrays, index.source)
+        arrays["ps.lcp"] = index.structure.lcp  # what earlier writers stored
+        meta = {"z": index.z, "alphabet": list(source.alphabet.letters), "body": body}
+        path = tmp_path / "old-wst.idx"
+        store_module._write_container(path, meta, arrays)
+        manifest = container_arrays(path)
+        assert "ps.lcp" in manifest
+        loaded = load_index(path, mmap=False, verify=True)
+        patterns = patterns_for(index, source, seed=10, count=12)
+        assert loaded.match_many(patterns) == index.match_many(patterns)
+        assert verify_store(path)["ok"]
+        # Its checksum is still checked: flip one byte of the blob.
+        raw = bytearray(path.read_bytes())
+        (length,) = struct.unpack_from("<Q", raw, 8)
+        data_start = -(-(20 + length) // 64) * 64
+        raw[data_start + manifest["ps.lcp"]["offset"]] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        report = verify_store(path)
+        assert not report["ok"]
+        assert any("ps.lcp" in problem["error"] for problem in report["problems"])
 
 
 # --------------------------------------------------------------------------- #
